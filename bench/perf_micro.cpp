@@ -30,6 +30,8 @@ void BM_FunctionalSim(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalSim)->Unit(benchmark::kMillisecond);
 
+// A standalone timing run: simulate() without a trace records one, then
+// replays it.
 void BM_TimingSim(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   std::uint64_t instructions = 0;
@@ -74,8 +76,8 @@ void BM_ExecuteUops(benchmark::State& state) {
 BENCHMARK(BM_ExecuteUops)->Unit(benchmark::kMillisecond);
 
 // Replay-backed timing run over a pre-recorded trace — the per-config
-// marginal cost of a grid sweep. Compare with BM_TimingSim, which pays
-// functional execution inside the pipeline on every run.
+// marginal cost of a grid sweep. Compare with BM_TimingSim, which records
+// the trace on every run.
 void BM_ReplayTimingSim(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);
@@ -88,11 +90,11 @@ void BM_ReplayTimingSim(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayTimingSim)->Unit(benchmark::kMillisecond);
 
-// Config-parallel batched replay: N machine configurations timed as lanes
-// of one simulate_replay_batch sweep over a shared pre-recorded trace.
-// items/s counts committed instructions across all lanes, so comparing
-// against BM_ReplayTimingSim at Arg(1) shows the batch dispatch overhead
-// and the higher Args show the amortization of the shared trace decode.
+// Batched replay: N machine configurations timed as lanes of one
+// simulate_replay_batch call over a shared pre-recorded trace. Lanes are
+// sequential replays, so items/s (committed instructions across all
+// lanes) should track BM_ReplayTimingSim at every Arg; a gap is batch
+// dispatch overhead.
 void BM_ReplayBatch(benchmark::State& state) {
   const Program p = workload_program(bench_workload());
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 24);

@@ -98,8 +98,18 @@ class Parser {
   Json parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse; the cap bounds the stack a document can use.
+        if (depth_ == Json::kMaxParseDepth) {
+          fail("nesting deeper than Json::kMaxParseDepth (" +
+               std::to_string(Json::kMaxParseDepth) + ")");
+        }
+        ++depth_;
+        Json v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't': expect_word("true"); return Json(true);
       case 'f': expect_word("false"); return Json(false);
@@ -227,6 +237,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  // containers open at the current position
   std::size_t pos_ = 0;
 };
 

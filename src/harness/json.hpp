@@ -90,6 +90,9 @@ class Json {
   std::string dump(int indent = -1) const;
 
   // Strict RFC-8259 parser (no comments, no trailing commas).
+  // Containers may nest at most kMaxParseDepth deep; deeper input throws
+  // JsonError naming the limit instead of exhausting the stack.
+  static constexpr int kMaxParseDepth = 512;
   static Json parse(std::string_view text);
 
   bool operator==(const Json& other) const;

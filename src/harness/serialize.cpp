@@ -3,6 +3,7 @@
 #include <initializer_list>
 
 #include "harness/identity.hpp"
+#include "uarch/timing.hpp"
 
 namespace t1000 {
 namespace {
@@ -361,6 +362,13 @@ MachineConfig machine_config_from_json(const Json& j) {
   if (const Json* v = j.find("pfu")) c.pfu = pfu_config_from_json(*v);
   if (const Json* v = j.find("branch")) {
     c.branch = branch_predictor_config_from_json(*v);
+  }
+  // The same check simulate() makes, surfaced as a parse error so a
+  // request with an unusable machine is rejected before it is admitted.
+  try {
+    validate(c);
+  } catch (const SimError& e) {
+    throw JsonError(e.what());
   }
   return c;
 }

@@ -1,7 +1,6 @@
 #include "isa/reg.hpp"
 
 #include <array>
-#include <cassert>
 #include <charconv>
 
 namespace t1000 {
@@ -25,8 +24,9 @@ int parse_index(std::string_view digits) {
 }  // namespace
 
 std::string_view reg_name(Reg r) {
-  assert(r < kNumRegs);
-  return kNames[r];
+  // Malformed objects carry out-of-range fields, and the verifier's
+  // wf.reg-range diagnostic prints the offending instruction.
+  return r < kNumRegs ? kNames[r] : "$?";
 }
 
 int parse_reg(std::string_view text) {

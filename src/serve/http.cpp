@@ -366,15 +366,17 @@ void HttpServer::stop() {
     if (impl_->stopping) return;
     impl_->stopping = true;
   }
-  // Closing the listen socket makes the blocked accept() return; handlers
-  // drain whatever was already queued, then see `stopping` and exit.
+  // Shutting the listen socket down makes the blocked accept() return;
+  // handlers drain whatever was already queued, then see `stopping` and
+  // exit. The accept thread reads listen_fd, so the descriptor is closed
+  // and cleared only once that thread has been joined.
+  if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
+  impl_->cv.notify_all();
+  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   if (impl_->listen_fd >= 0) {
-    ::shutdown(impl_->listen_fd, SHUT_RDWR);
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
   }
-  impl_->cv.notify_all();
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   for (std::thread& t : impl_->handlers) {
     if (t.joinable()) t.join();
   }

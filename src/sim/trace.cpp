@@ -205,11 +205,14 @@ DecodedStep decode_step(const StepInfo& info, const Program& program) {
   return d;
 }
 
-DecodedTrace::DecodedTrace(const CommittedTrace& trace,
-                           const Program& program) {
-  steps_.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    steps_.push_back(decode_step(trace.step_at(i, program), program));
+TraceCursor::TraceCursor(const CommittedTrace& trace, const Program& program)
+    : trace_(&trace) {
+  table_.reserve(program.text.size() + 1);
+  StepInfo info;
+  for (std::size_t i = 0; i <= program.text.size(); ++i) {
+    info.index = static_cast<std::int32_t>(i);
+    info.ins = i < program.text.size() ? program.text[i] : make_halt();
+    table_.push_back(decode_step(info, program));
   }
 }
 

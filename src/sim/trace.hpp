@@ -8,7 +8,8 @@
 // `Executor` once, capture everything the timing pipeline observes per
 // step, and replay the recording into any number of timing simulations —
 // a grid sweep over N machine configurations pays functional execution
-// once instead of N times.
+// once instead of N times. Replay is the timing model's only step source:
+// a run without a recording records one first (uarch/timing.hpp).
 //
 // The recording keeps only the timing-visible projection of `StepInfo`
 // (instruction index, successor index, memory address/size, branch
@@ -139,6 +140,8 @@ class CommittedTrace {
   // The threaded interpreter's record policy appends SoA rows directly,
   // skipping StepInfo materialization (sim/ucode.cpp).
   friend struct UcodeImpl;
+  // Replay reads the columns directly (see TraceCursor::step).
+  friend class TraceCursor;
 
   void append(const StepInfo& info, bool sentinel);
   void finalize(std::uint32_t checksum);
@@ -170,10 +173,8 @@ CommittedTrace record_trace(const UopProgram& ucode, std::uint64_t max_steps);
 // --- decoded steps ---
 //
 // Everything the timing pipeline's decode stage derives from a StepInfo,
-// computed once by decode_step(). The pipeline's fetch/dispatch stages
-// consume this form exclusively, so a step decoded ahead of time (the
-// batched replay path below) and a step decoded on the fly (the direct
-// and single-replay paths) take exactly the same cycle-level code.
+// computed by decode_step(). The pipeline's fetch/dispatch stages consume
+// this form exclusively.
 struct DecodedStep {
   StepInfo info;
   std::uint32_t pc = 0;         // byte address of info.index (I-cache key)
@@ -186,67 +187,43 @@ struct DecodedStep {
   bool is_ext = false;          // requests a PFU configuration at decode
 };
 
-// The one decode function both forms share. `program` must be the program
-// `info` was produced from (pc_of; the instruction itself is already
-// embedded in `info`).
+// The one decode function. `program` must be the program `info` was
+// produced from (pc_of; the instruction itself is already embedded in
+// `info`).
 DecodedStep decode_step(const StepInfo& info, const Program& program);
 
-// Presents a recorded trace through the step-source interface the timing
-// pipeline consumes (see uarch/timing.cpp): halted / next_pc / step.
-// Both referents must outlive the cursor.
+// The timing pipeline's step source (see uarch/timing.cpp): presents a
+// recorded trace as halted / next_pc / step. Decoding depends on the
+// instruction alone, so the constructor decodes every text entry once,
+// plus the off-the-end halt sentinel, into a table that is O(text), not
+// O(steps). step() copies the entry for the step's instruction index —
+// which already carries `index` and `pc` — and fills in the per-step
+// fields from the trace columns. Both referents must outlive the cursor.
 class TraceCursor {
  public:
-  TraceCursor(const CommittedTrace& trace, const Program& program)
-      : trace_(&trace), program_(&program) {}
+  TraceCursor(const CommittedTrace& trace, const Program& program);
 
   bool halted() const { return pos_ >= trace_->size(); }
-  std::uint32_t next_pc() const {
-    return program_->pc_of(trace_->index_at(pos_));
-  }
+  std::uint32_t next_pc() const { return entry(pos_).pc; }
   DecodedStep step() {
-    return decode_step(trace_->step_at(pos_++, *program_), *program_);
+    const std::size_t i = pos_++;
+    const auto flags = static_cast<std::uint8_t>(trace_->flags_[i]);
+    DecodedStep d = entry(i);
+    d.info.next_index = trace_->next_index_[i];
+    d.info.is_mem = (flags & CommittedTrace::kFlagIsMem) != 0;
+    d.info.mem_addr = trace_->mem_addr_[i];
+    d.info.mem_size = static_cast<std::uint8_t>(trace_->mem_size_[i]);
+    d.info.branch_taken = (flags & CommittedTrace::kFlagBranchTaken) != 0;
+    return d;
   }
 
  private:
+  const DecodedStep& entry(std::size_t i) const {
+    return table_[static_cast<std::size_t>(trace_->index_[i])];
+  }
+
   const CommittedTrace* trace_;
-  const Program* program_;
-  std::size_t pos_ = 0;
-};
-
-// A committed trace fully decoded up front: one pass pays StepInfo
-// reconstruction and instruction decode for the whole stream, after which
-// any number of timing lanes replay it as plain array reads. This is what
-// makes config-parallel batched replay (uarch/timing.hpp,
-// simulate_replay_batch) profitable — N machine configurations share one
-// decode instead of re-deriving it N times.
-class DecodedTrace {
- public:
-  DecodedTrace(const CommittedTrace& trace, const Program& program);
-
-  std::size_t size() const { return steps_.size(); }
-  const DecodedStep& at(std::size_t i) const { return steps_[i]; }
-
-  // Heap footprint of the decoded array, for observability.
-  std::uint64_t memory_bytes() const {
-    return steps_.capacity() * sizeof(DecodedStep);
-  }
-
- private:
-  std::vector<DecodedStep> steps_;
-};
-
-// Step source over a DecodedTrace; the batched replay pipeline's cursor.
-// One cursor per lane, all borrowing the same decoded array.
-class DecodedCursor {
- public:
-  explicit DecodedCursor(const DecodedTrace& trace) : trace_(&trace) {}
-
-  bool halted() const { return pos_ >= trace_->size(); }
-  std::uint32_t next_pc() const { return trace_->at(pos_).pc; }
-  const DecodedStep& step() { return trace_->at(pos_++); }
-
- private:
-  const DecodedTrace* trace_;
+  std::vector<DecodedStep> table_;  // per text index; last = halt sentinel
   std::size_t pos_ = 0;
 };
 

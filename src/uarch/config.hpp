@@ -43,6 +43,11 @@ struct PfuConfig {
 };
 
 struct MachineConfig {
+  // Bounds validate() (uarch/timing.hpp) enforces: every width lies in
+  // [1, kMaxWidth]; ruu_size and fetch_queue_size in [1, kMaxQueue].
+  static constexpr int kMaxWidth = 64;
+  static constexpr int kMaxQueue = 1 << 20;
+
   int fetch_width = 4;
   int decode_width = 4;
   int issue_width = 4;

@@ -1,7 +1,7 @@
 #include "uarch/timing.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,7 +9,6 @@
 #include "harness/json.hpp"
 #include "hwcost/lut_model.hpp"
 #include "isa/opcode.hpp"
-#include "sim/executor.hpp"
 #include "sim/trace.hpp"
 
 namespace t1000 {
@@ -40,15 +39,6 @@ namespace {
 
 constexpr std::uint64_t kNoDep = ~0ull;
 
-// How many instructions one batched lane commits before the round-robin
-// moves on. Large enough that a lane's simulated cache/RUU state stays hot
-// in the host caches across the burst; small enough that lanes sweep the
-// shared decoded trace in step. Striding by commits rather than cycles
-// keeps the lanes aligned on the same decoded-trace window even when
-// their configurations differ wildly in IPC, so the window stays resident
-// while every lane reads it.
-constexpr std::uint64_t kBatchStride = 16384;
-
 // Smallest power of two >= v (v >= 1): ring-buffer capacities, so indexing
 // is a mask instead of an integer division on the hot path.
 std::size_t pow2_ceil(std::size_t v) {
@@ -56,25 +46,6 @@ std::size_t pow2_ceil(std::size_t v) {
   while (p < v) p <<= 1;
   return p;
 }
-
-// Step source backed by a live functional executor (the direct path).
-// Mirrors TraceCursor / DecodedCursor (sim/trace.hpp), the replay-backed
-// sources; the pipeline below is templated over the three so every path
-// runs the exact same cycle-level code, with decode_step() as the single
-// decoder.
-class ExecutorSource {
- public:
-  ExecutorSource(const Program& program, const ExtInstTable* ext_table)
-      : exec_(program, ext_table), program_(program) {}
-
-  bool halted() const { return exec_.halted(); }
-  std::uint32_t next_pc() const { return program_.pc_of(exec_.pc()); }
-  DecodedStep step() { return decode_step(exec_.step(), program_); }
-
- private:
-  Executor exec_;
-  const Program& program_;
-};
 
 struct RuuEntry {
   DecodedStep step;
@@ -221,10 +192,12 @@ class RecordingObserver final : public PfuListener {
   bool fetch_stall_is_branch_ = false;
 };
 
-template <class Source, class Obs>
+// One timing run: the out-of-order machine of the file comment in
+// uarch/timing.hpp, fed the committed path by a TraceCursor.
+template <class Obs>
 class Pipeline {
  public:
-  Pipeline(Source source, const Program& program,
+  Pipeline(TraceCursor source, const Program& program,
            const ExtInstTable* ext_table, const MachineConfig& config,
            std::uint64_t max_cycles, SimObservation* observation)
       : config_(config),
@@ -244,8 +217,8 @@ class Pipeline {
         // the logical capacity.
         ruu_(pow2_ceil(static_cast<std::size_t>(config.ruu_size))),
         ruu_mask_(ruu_.size() - 1),
-        fetch_ring_(pow2_ceil(static_cast<std::size_t>(
-            std::max(1, config.fetch_queue_size)))),
+        fetch_ring_(
+            pow2_ceil(static_cast<std::size_t>(config.fetch_queue_size))),
         fetch_mask_(fetch_ring_.size() - 1),
         store_ring_(ruu_.size()),
         store_mask_(store_ring_.size() - 1),
@@ -266,45 +239,29 @@ class Pipeline {
     }
   }
 
-  bool drained() const {
-    return source_.halted() && fq_head_ == fq_tail_ && head_ == tail_;
-  }
-
-  // One machine cycle. The batched driver interleaves step_cycle() calls
-  // across lanes; run() below is the single-lane loop. Throws SimError
-  // when the cycle bound is exceeded.
-  void step_cycle() {
-    if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
-    const int commits = commit();
-    issue();
-    resolve_mispredict();
-    dispatch();
-    fetch();
-    if constexpr (Obs::kEnabled) {
-      // Attribution runs at end of cycle: every non-committing cycle is
-      // charged to exactly one cause (the invariant commit_cycles +
-      // sum(causes) == cycles is pinned by tests).
-      obs_.on_cycle(commits);
-      if (commits == 0) obs_.charge(classify_stall());
+  // Runs the machine until the trace is exhausted and the pipeline has
+  // drained; call once. Throws SimError past the cycle bound.
+  SimStats run() {
+    while (!source_.halted() || fq_head_ != fq_tail_ || head_ != tail_) {
+      if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
+      const int commits = commit();
+      issue();
+      resolve_mispredict();
+      dispatch();
+      fetch();
+      if constexpr (Obs::kEnabled) {
+        // Attribution runs at end of cycle: every non-committing cycle is
+        // charged to exactly one cause (the invariant commit_cycles +
+        // sum(causes) == cycles is pinned by tests).
+        obs_.on_cycle(commits);
+        if (commits == 0) obs_.charge(classify_stall());
+      }
+      ++now_;
     }
-    ++now_;
-  }
-
-  // Instructions committed so far (the batch driver's stride measure).
-  std::uint64_t committed() const { return stats_.committed; }
-
-  // Finalizes and returns the statistics; call exactly once, after
-  // drained() turns true.
-  SimStats finish() {
     stats_.cycles = now_;
     collect();
     if constexpr (Obs::kEnabled) obs_.finish();
     return stats_;
-  }
-
-  SimStats run() {
-    while (!drained()) step_cycle();
-    return finish();
   }
 
  private:
@@ -674,7 +631,7 @@ class Pipeline {
   }
 
   MachineConfig config_;
-  Source source_;
+  TraceCursor source_;
   const Program& program_;
   std::uint64_t max_cycles_;
   Cache l2_;
@@ -715,83 +672,69 @@ class Pipeline {
   SimStats stats_;
 };
 
-// Runs the lanes listed in `lane_ids` (indices into request.lanes), all
-// sharing one observer instantiation, writing each lane's outcome into
-// `results`. Lanes advance round-robin in kBatchStride-cycle bursts; they
-// are fully independent machines, so any interleaving produces the same
-// per-lane results as running them to completion one after another.
-template <class Obs>
-void run_lanes(const BatchSimRequest& request, const DecodedTrace& decoded,
-               const std::vector<std::size_t>& lane_ids,
-               std::vector<BatchLaneResult>* results) {
-  using LanePipeline = Pipeline<DecodedCursor, Obs>;
-  std::vector<std::unique_ptr<LanePipeline>> lanes;
-  lanes.reserve(lane_ids.size());
-  for (const std::size_t id : lane_ids) {
-    const BatchSimRequest::Lane& lane = request.lanes[id];
-    lanes.push_back(std::make_unique<LanePipeline>(
-        DecodedCursor(decoded), *request.program, request.ext_table,
-        lane.machine, lane.max_cycles, lane.observation));
+// The one timing path: replays `trace` through the pipeline instantiated
+// for the run's observer. `machine` must already be validated.
+SimStats replay(const Program& program, const ExtInstTable* ext_table,
+                const CommittedTrace& trace, const MachineConfig& machine,
+                std::uint64_t max_cycles, SimObservation* observation) {
+  TraceCursor cursor(trace, program);
+  if (observation != nullptr) {
+    return Pipeline<RecordingObserver>(std::move(cursor), program, ext_table,
+                                       machine, max_cycles, observation)
+        .run();
   }
-  std::size_t live = lanes.size();
-  while (live > 0) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      LanePipeline* lane = lanes[i].get();
-      if (lane == nullptr) continue;
-      BatchLaneResult& out = (*results)[lane_ids[i]];
-      try {
-        const std::uint64_t target = lane->committed() + kBatchStride;
-        while (lane->committed() < target && !lane->drained()) {
-          lane->step_cycle();
-        }
-        if (lane->drained()) {
-          out.stats = lane->finish();
-          lanes[i].reset();
-          --live;
-        }
-      } catch (...) {
-        // Per-lane fault isolation: this lane dies (cycle bound, ...);
-        // the others keep sweeping.
-        out.error = std::current_exception();
-        lanes[i].reset();
-        --live;
-      }
-    }
-  }
+  return Pipeline<NullObserver>(std::move(cursor), program, ext_table,
+                                machine, max_cycles, nullptr)
+      .run();
+}
+
+// Steps a recording for `simulate` must admit. Commit retires at most
+// commit_width instructions per cycle, so a run that commits more than
+// max_cycles * commit_width steps has already tripped the cycle bound; the
+// +1 admits the off-the-end halt sentinel, which is fetched but never
+// committed. A longer recording could therefore never time successfully,
+// and recording fails exactly where the pipeline would. Saturating.
+std::uint64_t record_bound(const MachineConfig& machine,
+                           std::uint64_t max_cycles) {
+  const auto width = static_cast<std::uint64_t>(machine.commit_width);
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  return max_cycles > (max - 1) / width ? max : max_cycles * width + 1;
 }
 
 }  // namespace
+
+void validate(const MachineConfig& machine) {
+  const auto check = [](const char* field, int value, int max) {
+    if (value < 1 || value > max) {
+      throw SimError("machine config: " + std::string(field) + " = " +
+                     std::to_string(value) + " is outside [1, " +
+                     std::to_string(max) + "]");
+    }
+  };
+  check("fetch_width", machine.fetch_width, MachineConfig::kMaxWidth);
+  check("decode_width", machine.decode_width, MachineConfig::kMaxWidth);
+  check("issue_width", machine.issue_width, MachineConfig::kMaxWidth);
+  check("commit_width", machine.commit_width, MachineConfig::kMaxWidth);
+  check("ruu_size", machine.ruu_size, MachineConfig::kMaxQueue);
+  check("fetch_queue_size", machine.fetch_queue_size,
+        MachineConfig::kMaxQueue);
+}
 
 SimStats simulate(const SimRequest& request) {
   if (request.program == nullptr) {
     throw SimError("simulate: request.program is required");
   }
+  validate(request.machine);
   const Program& program = *request.program;
   if (request.trace != nullptr) {
-    if (request.observation != nullptr) {
-      return Pipeline<TraceCursor, RecordingObserver>(
-                 TraceCursor(*request.trace, program), program,
-                 request.ext_table, request.machine, request.max_cycles,
-                 request.observation)
-          .run();
-    }
-    return Pipeline<TraceCursor, NullObserver>(
-               TraceCursor(*request.trace, program), program,
-               request.ext_table, request.machine, request.max_cycles,
-               nullptr)
-        .run();
+    return replay(program, request.ext_table, *request.trace,
+                  request.machine, request.max_cycles, request.observation);
   }
-  if (request.observation != nullptr) {
-    return Pipeline<ExecutorSource, RecordingObserver>(
-               ExecutorSource(program, request.ext_table), program,
-               request.ext_table, request.machine, request.max_cycles,
-               request.observation)
-        .run();
-  }
-  return Pipeline<ExecutorSource, NullObserver>(
-             ExecutorSource(program, request.ext_table), program,
-             request.ext_table, request.machine, request.max_cycles, nullptr)
-      .run();
+  const CommittedTrace trace =
+      record_trace(program, request.ext_table,
+                   record_bound(request.machine, request.max_cycles));
+  return replay(program, request.ext_table, trace, request.machine,
+                request.max_cycles, request.observation);
 }
 
 std::vector<BatchLaneResult> simulate_replay_batch(
@@ -800,22 +743,18 @@ std::vector<BatchLaneResult> simulate_replay_batch(
     throw SimError("simulate_replay_batch: program and trace are required");
   }
   std::vector<BatchLaneResult> results(request.lanes.size());
-  if (request.lanes.empty()) return results;
-  // The amortization: one decode of the committed trace serves every lane.
-  const DecodedTrace decoded(*request.trace, *request.program);
-  // Observed and unobserved lanes take differently-instantiated pipelines
-  // (the null observer compiles the observation layer out), so partition
-  // by observer and run each group; results land by lane id either way.
-  std::vector<std::size_t> plain;
-  std::vector<std::size_t> observed;
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
-    (request.lanes[i].observation != nullptr ? observed : plain).push_back(i);
-  }
-  if (!plain.empty()) {
-    run_lanes<NullObserver>(request, decoded, plain, &results);
-  }
-  if (!observed.empty()) {
-    run_lanes<RecordingObserver>(request, decoded, observed, &results);
+    const BatchSimRequest::Lane& lane = request.lanes[i];
+    try {
+      validate(lane.machine);
+      results[i].stats =
+          replay(*request.program, request.ext_table, *request.trace,
+                 lane.machine, lane.max_cycles, lane.observation);
+    } catch (...) {
+      // Per-lane fault isolation: this lane fails (bad machine, cycle
+      // bound, ...); the others still run.
+      results[i].error = std::current_exception();
+    }
   }
   return results;
 }

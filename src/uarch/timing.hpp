@@ -1,11 +1,14 @@
-// Execution-driven timing simulator for the T1000 architecture.
+// Trace-driven timing simulator for the T1000 architecture.
 //
 // Models the paper's evaluation vehicle: a 4-wide out-of-order superscalar
 // with Register-Update-Unit (RUU) scheduling [Sohi], split L1 caches over a
 // unified L2, I/D TLBs, perfect branch prediction, and a bank of PFUs for
-// extended instructions. The committed path comes from the functional
-// executor: with perfect prediction the fetched and committed paths
-// coincide, so no wrong-path modelling is needed (Section 3.1).
+// extended instructions. With perfect prediction the fetched and committed
+// paths coincide, so no wrong-path modelling is needed (Section 3.1) and
+// the committed path does not depend on the machine: every run replays a
+// committed trace recorded by the functional executor (sim/trace.hpp).
+// That replay is the one cycle-level code path, instantiated once per
+// observer.
 //
 // Pipeline per cycle: commit <= W oldest completed entries; issue <= W
 // ready entries oldest-first subject to FU availability (and, for EXT, the
@@ -139,22 +142,21 @@ struct SimObservation {
 // point per batch shape instead of positional overload families. The
 // designated-initializer idiom reads as named arguments:
 //
-//   simulate({.program = &p, .machine = cfg});                 // direct
-//   simulate({.program = &p, .trace = &t, .machine = cfg});    // replay
+//   simulate({.program = &p, .machine = cfg});               // record+replay
+//   simulate({.program = &p, .trace = &t, .machine = cfg});  // replay
 //   simulate({.program = &p, .machine = cfg, .observation = &obs});
 struct SimRequest {
   // The program to time (required). For replay runs it must be the exact
   // program the trace was recorded from.
   const Program* program = nullptr;
   // EXT semantics; may be null when the program contains none. Consulted
-  // for multi-cycle EXT latencies on both paths.
+  // when recording and for multi-cycle EXT latencies.
   const ExtInstTable* ext_table = nullptr;
-  // Replay source: when set, the pipeline is driven by this committed
-  // trace instead of an embedded functional executor. Cycle-exact with
-  // the direct path — tests/integration/replay_differential_test.cpp
-  // holds the two to byte-identical statistics — but the functional work
-  // is paid once at record time, so one trace serves a whole grid of
-  // machine configurations. Null selects execution-driven simulation.
+  // The committed trace to replay. Recording is the functional work, so
+  // one trace serves a whole grid of machine configurations. When null,
+  // simulate() records one first, bounded by the steps the pipeline could
+  // commit within max_cycles, so success and failure match a run over a
+  // full recording.
   const CommittedTrace* trace = nullptr;
   MachineConfig machine;
   std::uint64_t max_cycles = 1ull << 32;  // SimError past this bound
@@ -166,19 +168,24 @@ struct SimRequest {
   SimObservation* observation = nullptr;
 };
 
+// Throws SimError naming the field and its bound when a width, ruu_size
+// or fetch_queue_size lies outside MachineConfig's kMax* limits — values
+// that would otherwise spin the pipeline to its cycle bound or exhaust
+// memory. simulate() and every batch lane call it before any work;
+// machine_config_from_json (harness/serialize.hpp) calls it too.
+void validate(const MachineConfig& machine);
+
 // Runs one timing simulation described by `request` and returns the
-// statistics. Throws SimError if the request is malformed, the program
-// exceeds max_cycles, or the simulation misbehaves.
+// statistics. Throws SimError if the request is malformed (including an
+// invalid machine), the program exceeds max_cycles, or the simulation
+// misbehaves.
 SimStats simulate(const SimRequest& request);
 
-// Config-parallel batched replay: N machine configurations timed in one
-// sweep of one committed trace. The trace is decoded once up front
-// (sim/trace.hpp, DecodedTrace) and every lane replays the decoded form,
-// so the per-step decode cost is paid once instead of N times. Each lane
-// is an independent pipeline (its own caches, TLBs, predictor, PFU bank,
-// RUU) — lane results are byte-identical to N sequential simulate()
-// replay calls, in any lane order, which the batch differential tests
-// pin.
+// N machine configurations timed over one committed trace. Each lane is
+// an independent pipeline (its own caches, TLBs, predictor, PFU bank,
+// RUU) replayed to completion through the same path as simulate(), so
+// lane results are byte-identical to N sequential simulate() replay calls,
+// which the batch differential tests pin.
 struct BatchSimRequest {
   const Program* program = nullptr;        // required
   const ExtInstTable* ext_table = nullptr; // may be null
@@ -204,7 +211,8 @@ struct BatchLaneResult {
 
 // Runs every lane of `request` and returns their results in lane order.
 // Throws SimError only for a malformed request (missing program/trace);
-// per-lane failures are reported in the corresponding BatchLaneResult.
+// per-lane failures, an invalid lane machine included, are reported in the
+// corresponding BatchLaneResult.
 std::vector<BatchLaneResult> simulate_replay_batch(
     const BatchSimRequest& request);
 

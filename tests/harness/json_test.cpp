@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/serialize.hpp"
 
 namespace t1000 {
@@ -75,6 +77,29 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("nul"), JsonError);
   EXPECT_THROW(Json::parse("1 2"), JsonError);
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
+}
+
+TEST(Json, DeepNestingIsAnErrorNotACrash) {
+  // Unbounded recursion used to overflow the stack (SIGSEGV) on a body of
+  // 50000 '[' characters; the cap turns it into a JsonError naming it.
+  std::string objects;
+  for (int i = 0; i < 50000; ++i) objects += "{\"a\":";
+  for (const std::string& doc : {std::string(50000, '['), objects}) {
+    try {
+      Json::parse(doc);
+      ADD_FAILURE() << "accepted " << doc.substr(0, 8);
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxParseDepth"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Nesting up to the limit still parses.
+  const int depth = Json::kMaxParseDepth;
+  const std::string deepest =
+      std::string(depth, '[') + std::string(depth, ']');
+  EXPECT_EQ(Json::parse(deepest).dump(), deepest);
+  EXPECT_THROW(Json::parse("[" + deepest + "]"), JsonError);
 }
 
 TEST(Json, TypeErrors) {

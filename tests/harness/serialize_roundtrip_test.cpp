@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
@@ -85,6 +86,27 @@ TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {
       "{\"workload\": \"epic\", \"machine\": {\"branch\": {\"knid\": "
       "\"gshare\"}}}",
       "knid");
+}
+
+TEST(SerializeRoundTrip, InvalidMachinesAreRejectedNamingTheField) {
+  // machine_config_from_json runs the same validate() simulate() does,
+  // surfaced as a JsonError so the serve layer answers 400.
+  const std::pair<const char*, long long> cases[] = {
+      {"ruu_size", 0},         {"ruu_size", -5},
+      {"ruu_size", 2000000000}, {"issue_width", 0},
+      {"commit_width", 0},     {"fetch_queue_size", 0},
+  };
+  for (const auto& [field, value] : cases) {
+    Json machine = Json::object();
+    machine[field] = Json(value);
+    try {
+      machine_config_from_json(machine);
+      ADD_FAILURE() << field << " = " << value << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SerializeRoundTrip, BadEnumNamesAreRejected) {

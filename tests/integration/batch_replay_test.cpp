@@ -185,6 +185,43 @@ TEST(BatchReplay, LaneFailuresAreIsolated) {
   EXPECT_EQ(to_json(lanes[2].stats).dump(), to_json(c).dump());
 }
 
+TEST(BatchReplay, InvalidLaneMachineFailsAlone) {
+  // Machine validation runs inside each lane's own try: a lane with an
+  // unusable machine carries SimError naming the field, and its siblings
+  // still complete.
+  const Prepared prep = prepared_for(Selector::kNone);
+  BatchSimRequest request;
+  request.program = prep.program;
+  request.trace = prep.trace;
+  request.lanes.resize(3);
+  request.lanes[0].machine = baseline_machine();
+  request.lanes[1].machine = baseline_machine();
+  request.lanes[1].machine.ruu_size = 0;
+  request.lanes[2].machine = baseline_machine();
+  request.lanes[2].machine.commit_width = 0;
+
+  const std::vector<BatchLaneResult> lanes = simulate_replay_batch(request);
+  ASSERT_EQ(lanes.size(), 3u);
+  EXPECT_EQ(lanes[0].error, nullptr);
+  const auto message = [](const std::exception_ptr& error) -> std::string {
+    try {
+      std::rethrow_exception(error);
+    } catch (const SimError& e) {
+      return e.what();
+    } catch (...) {
+      return "not a SimError";
+    }
+  };
+  ASSERT_NE(lanes[1].error, nullptr);
+  EXPECT_NE(message(lanes[1].error).find("ruu_size"), std::string::npos);
+  ASSERT_NE(lanes[2].error, nullptr);
+  EXPECT_NE(message(lanes[2].error).find("commit_width"), std::string::npos);
+  const SimStats a = simulate(
+      {.program = prep.program, .trace = prep.trace,
+       .machine = baseline_machine()});
+  EXPECT_EQ(to_json(lanes[0].stats).dump(), to_json(a).dump());
+}
+
 TEST(BatchReplay, SingleLaneBatchMatchesPlainReplay) {
   const Prepared prep = prepared_for(Selector::kGreedy);
   BatchSimRequest request;

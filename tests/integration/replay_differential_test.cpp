@@ -1,25 +1,30 @@
 // The replay-equivalence proof behind the trace-sharing engine.
 //
-// WorkloadExperiment::run() times every spec by replaying a recorded
-// committed trace (sim/trace.hpp) instead of dragging the functional
-// Executor through the pipeline. That is only sound if replay is
-// *cycle-exact*: for every workload, selector, and machine configuration,
-// the replayed run must produce byte-identical SimStats to a direct
-// execution-driven simulation of the same rewritten program. This suite is
-// that proof, over every registered workload (paper suite + extended
-// suite), all three selectors, and a deliberately hostile set of machine
-// configurations: PFU counts from 2 to unlimited, reconfiguration
-// latencies from free to punitive, shrunken cache/TLB geometries, a real
-// (mispredicting) branch predictor, multi-cycle extended instructions, and
-// a narrow machine with tight RUU/MSHR limits.
+// Every timing run replays a recorded committed trace (sim/trace.hpp)
+// through a TraceCursor, and the pipeline reads nothing but the cursor's
+// stream. Replay is therefore exact iff that stream equals what live
+// execution of the same rewritten program yields: `halted`, `next_pc`,
+// and every DecodedStep field but the architectural values, off-the-end
+// halt sentinel included. This suite checks that stream against the
+// reference interpreter over every registered workload (paper suite +
+// extended suite) and all three selectors, then holds the engine's
+// replayed, observed and batched runs to the standalone simulate() entry
+// over a deliberately hostile set of machine configurations: PFU counts
+// from 2 to unlimited, reconfiguration latencies from free to punitive,
+// shrunken cache/TLB geometries, a real (mispredicting) branch predictor,
+// multi-cycle extended instructions, and a narrow machine with tight
+// RUU/MSHR limits.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "asmkit/assembler.hpp"
 #include "harness/experiment.hpp"
 #include "harness/serialize.hpp"
+#include "sim/executor.hpp"
+#include "sim/trace.hpp"
 #include "uarch/timing.hpp"
 
 namespace t1000 {
@@ -105,6 +110,57 @@ RunSpec spec_for(const Workload& w, Selector selector,
   return spec;
 }
 
+// The first timing-visible field on which two decoded steps differ, or
+// "" when they agree. Everything the pipeline reads is compared; the
+// architectural values (src_vals/result/has_result/num_src) are outside
+// the recorded projection.
+std::string timing_view_diff(const DecodedStep& got, const DecodedStep& want) {
+  if (got.info.index != want.info.index) return "index";
+  if (got.info.next_index != want.info.next_index) return "next_index";
+  if (!(got.info.ins == want.info.ins)) return "ins";
+  if (got.info.is_mem != want.info.is_mem) return "is_mem";
+  if (got.info.mem_addr != want.info.mem_addr) return "mem_addr";
+  if (got.info.mem_size != want.info.mem_size) return "mem_size";
+  if (got.info.branch_taken != want.info.branch_taken) return "branch_taken";
+  if (got.pc != want.pc) return "pc";
+  if (got.fu != want.fu) return "fu";
+  if (got.srcs.count != want.srcs.count) return "srcs.count";
+  for (int i = 0; i < got.srcs.count; ++i) {
+    if (got.srcs.reg[i] != want.srcs.reg[i]) return "srcs.reg";
+  }
+  if (got.dst != want.dst) return "dst";
+  if (got.dst2 != want.dst2) return "dst2";
+  if (got.is_ctrl != want.is_ctrl) return "is_ctrl";
+  if (got.is_store != want.is_store) return "is_store";
+  if (got.is_ext != want.is_ext) return "is_ext";
+  return "";
+}
+
+// Walks a TraceCursor over `trace` in lockstep with the reference
+// interpreter running `program` live; returns the number of steps.
+std::size_t expect_stream_matches_reference(const CommittedTrace& trace,
+                                            const Program& program,
+                                            const ExtInstTable* table,
+                                            const std::string& tag) {
+  TraceCursor cursor(trace, program);
+  Executor exec(program, table, ExecMode::kReference);
+  std::size_t n = 0;
+  while (!exec.halted()) {
+    EXPECT_FALSE(cursor.halted()) << tag << ": trace ends at step " << n;
+    if (cursor.halted()) return n;
+    EXPECT_EQ(cursor.next_pc(), program.pc_of(exec.pc()))
+        << tag << " step " << n;
+    const DecodedStep want = decode_step(exec.step(), program);
+    const std::string diff = timing_view_diff(cursor.step(), want);
+    EXPECT_EQ(diff, "") << tag << " step " << n << " differs in " << diff;
+    if (!diff.empty()) return n;
+    ++n;
+  }
+  EXPECT_TRUE(cursor.halted()) << tag << ": trace runs past the halt";
+  EXPECT_EQ(trace.checksum(), exec.reg(kRegV0)) << tag;
+  return n;
+}
+
 class ReplayDifferential : public ::testing::TestWithParam<std::size_t> {
  protected:
   static WorkloadExperiment& experiment(std::size_t index) {
@@ -119,37 +175,36 @@ class ReplayDifferential : public ::testing::TestWithParam<std::size_t> {
 };
 
 TEST_P(ReplayDifferential, ReplayMatchesDirectSimulationByteForByte) {
+  // The engine's prepared trace, replayed, must yield the stream the
+  // reference interpreter yields live, step for step and field for field.
   const Workload& w = every_workload()[GetParam()];
   WorkloadExperiment& exp = experiment(GetParam());
 
   for (const Selector selector :
        {Selector::kNone, Selector::kGreedy, Selector::kSelective}) {
-    for (const NamedMachine& nm : machines()) {
-      const RunSpec spec = spec_for(w, selector, nm);
-      const WorkloadExperiment::PreparedView view = exp.prepared(spec);
-      ASSERT_NE(view.program, nullptr);
-      ASSERT_NE(view.trace, nullptr);
+    const RunSpec spec = spec_for(w, selector, machines()[0]);
+    const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+    ASSERT_NE(view.program, nullptr);
+    ASSERT_NE(view.trace, nullptr);
+    const std::string tag = w.name + " / " + std::string(selector_name(selector));
 
-      // The replay-backed engine path...
-      const RunOutcome replayed = exp.run(spec);
-      // ...versus a from-scratch execution-driven simulation of the same
-      // (rewritten) program under the same machine.
-      const SimStats direct =
-          simulate({.program = view.program, .ext_table = view.table, .machine = spec.machine, .max_cycles = spec.max_cycles});
+    const std::size_t steps = expect_stream_matches_reference(
+        *view.trace, *view.program, view.table, tag);
+    EXPECT_EQ(steps, view.trace->size()) << tag;
 
-      EXPECT_EQ(to_json(direct).dump(), to_json(replayed.stats).dump())
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
-      EXPECT_EQ(replayed.trace_steps, view.trace->size());
-      EXPECT_EQ(replayed.trace_hash, view.trace->content_hash());
-      EXPECT_EQ(replayed.checksum, view.trace->checksum());
-    }
+    // The engine reports the very trace it replayed.
+    const RunOutcome replayed = exp.run(spec);
+    EXPECT_EQ(replayed.trace_steps, view.trace->size()) << tag;
+    EXPECT_EQ(replayed.trace_hash, view.trace->content_hash()) << tag;
+    EXPECT_EQ(replayed.checksum, view.trace->checksum()) << tag;
   }
 }
 
 TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
-  // The observability layer must be replay-exact too: the engine times
-  // every spec via replay, so RunSpec::observe is only trustworthy if the
-  // replayed stall attribution is identical to a direct simulation's. A
+  // The engine's observed runs replay the shared prepared trace, while a
+  // standalone observed simulate() records its own: both must attribute
+  // identically. Every non-committing cycle is charged to exactly one
+  // cause, and observation is invisible to the statistics. A
   // representative machine subset keeps the sweep affordable while still
   // covering a real predictor and tight RUU/MSHR limits.
   const Workload& w = every_workload()[GetParam()];
@@ -163,36 +218,29 @@ TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
        {Selector::kNone, Selector::kGreedy, Selector::kSelective}) {
     for (const NamedMachine& nm : machines()) {
       if (!covered(nm.name)) continue;
-      const RunSpec spec = spec_for(w, selector, nm);
+      RunSpec spec = spec_for(w, selector, nm);
+      spec.observe = true;
       const WorkloadExperiment::PreparedView view = exp.prepared(spec);
       ASSERT_NE(view.program, nullptr);
       ASSERT_NE(view.trace, nullptr);
+      const std::string tag = w.name + " / " +
+                              std::string(selector_name(selector)) + " / " +
+                              nm.name;
 
-      SimObservation direct_obs;
-      const SimStats direct = simulate({.program = view.program, .ext_table = view.table, .machine = spec.machine, .max_cycles = spec.max_cycles, .observation = &direct_obs});
-      // The accounting invariant: every non-committing cycle is charged to
-      // exactly one cause, on every workload and selector.
-      EXPECT_EQ(direct_obs.stalls.cycles, direct.cycles)
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
-      EXPECT_EQ(direct_obs.stalls.cause_cycles(),
-                direct_obs.stalls.stall_cycles())
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
+      SimObservation obs;
+      const SimStats standalone = simulate({.program = view.program, .ext_table = view.table, .machine = spec.machine, .max_cycles = spec.max_cycles, .observation = &obs});
+      EXPECT_EQ(obs.stalls.cycles, standalone.cycles) << tag;
+      EXPECT_EQ(obs.stalls.cause_cycles(), obs.stalls.stall_cycles()) << tag;
 
-      // Observation must be invisible to the statistics...
-      const SimStats plain =
-          simulate({.program = view.program, .ext_table = view.table, .machine = spec.machine, .max_cycles = spec.max_cycles});
-      EXPECT_EQ(to_json(plain).dump(), to_json(direct).dump())
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
+      const SimStats plain = simulate({.program = view.program, .ext_table = view.table, .trace = view.trace, .machine = spec.machine, .max_cycles = spec.max_cycles});
+      EXPECT_EQ(to_json(plain).dump(), to_json(standalone).dump()) << tag;
 
-      // ...and the replay path must attribute byte-identically.
-      SimObservation replay_obs;
-      const SimStats replayed =
-          simulate({.program = view.program, .ext_table = view.table, .trace = view.trace, .machine = spec.machine, .max_cycles = spec.max_cycles, .observation = &replay_obs});
-      EXPECT_EQ(to_json(direct).dump(), to_json(replayed).dump())
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
-      EXPECT_EQ(to_json(direct_obs.stalls).dump(),
-                to_json(replay_obs.stalls).dump())
-          << w.name << " / " << selector_name(selector) << " / " << nm.name;
+      const RunOutcome engine = exp.run(spec);
+      ASSERT_TRUE(engine.observed) << tag;
+      EXPECT_EQ(to_json(engine.stats).dump(), to_json(standalone).dump())
+          << tag;
+      EXPECT_EQ(to_json(engine.stalls).dump(), to_json(obs.stalls).dump())
+          << tag;
     }
   }
 }
@@ -297,6 +345,23 @@ TEST_P(ReplayDifferential, SharedSelectorsReuseOneTraceAcrossMachines) {
       }
     }
   }
+}
+
+TEST(ReplayStepStream, CoversOffTheEndSentinel) {
+  // Workloads end in `halt`; a program that returns from main instead
+  // commits one synthetic off-the-end step, which the cursor must hand
+  // out exactly as live execution does.
+  const Program p = assemble(R"(
+        li $s0, 3
+  loop: addiu $v0, $v0, 2
+        addiu $s0, $s0, -1
+        bgtz $s0, loop
+        jr $ra
+  )");
+  const CommittedTrace trace = record_trace(p, nullptr, 1000);
+  ASSERT_EQ(trace.index_at(trace.size() - 1), p.size());
+  EXPECT_EQ(expect_stream_matches_reference(trace, p, nullptr, "sentinel"),
+            trace.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

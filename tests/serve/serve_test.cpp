@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "harness/grid.hpp"
 #include "harness/serialize.hpp"
@@ -217,6 +218,36 @@ TEST(Service, MalformedSubmissionsAre400WithDiagnostics) {
   EXPECT_NE(typo.body.find("selektor"), std::string::npos);
 
   // Nothing malformed was admitted.
+  const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
+  EXPECT_EQ(list.at("jobs").size(), 0u);
+}
+
+TEST(Service, HostileBodiesAre400BeforeAdmission) {
+  SimService service(ServiceOptions{});
+  // 50 KB of '[' used to overflow the parser's stack and kill the daemon.
+  const HttpResponse nested =
+      service.handle_http(post("/v1/jobs", std::string(50000, '[')));
+  EXPECT_EQ(nested.status, 400);
+  EXPECT_NE(nested.body.find("kMaxParseDepth"), std::string::npos);
+
+  // Unusable machines used to be admitted and spin a worker for >20 s
+  // each (or die in bad_alloc); they are now parse errors naming the field.
+  const std::pair<const char*, long long> machines[] = {
+      {"ruu_size", 0},         {"ruu_size", -5},
+      {"ruu_size", 2000000000}, {"issue_width", 0},
+      {"commit_width", 0},
+  };
+  for (const auto& [field, value] : machines) {
+    Json spec = to_json(baseline_spec("gsm_dec"));
+    spec["machine"][field] = Json(value);
+    Json runs = Json::array();
+    runs.push_back(std::move(spec));
+    Json request = Json::object();
+    request["runs"] = std::move(runs);
+    const HttpResponse r = service.handle_http(post("/v1/jobs", request.dump()));
+    EXPECT_EQ(r.status, 400) << field << " = " << value;
+    EXPECT_NE(r.body.find(field), std::string::npos) << r.body;
+  }
   const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
   EXPECT_EQ(list.at("jobs").size(), 0u);
 }
@@ -522,6 +553,30 @@ TEST(Http, ServesTheServiceOverRealSockets) {
       http_round_trip(server.port(), "GET missing-the-version\r\n\r\n");
   EXPECT_NE(malformed.find("HTTP/1.1 400 Bad Request"), std::string::npos);
 
+  server.stop();
+}
+
+TEST(Http, DeeplyNestedBodyIs400AndTheDaemonKeepsServing) {
+  SimService service(ServiceOptions{});
+  HttpServer::Options options;  // ephemeral port
+  HttpServer server(options, [&service](const HttpRequest& request) {
+    return service.handle_http(request);
+  });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string nested = http_round_trip(
+      server.port(),
+      request_text("POST", "/v1/jobs", std::string(50000, '[')));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+  EXPECT_NE(nested.find("HTTP/1.1 400 Bad Request"), std::string::npos);
+  EXPECT_NE(nested.find("kMaxParseDepth"), std::string::npos);
+
+  const std::string health =
+      http_round_trip(server.port(), request_text("GET", "/healthz", ""));
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
   server.stop();
 }
 

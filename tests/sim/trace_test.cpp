@@ -119,31 +119,6 @@ TEST(Trace, CursorWalksWholeTraceOnce) {
   EXPECT_EQ(steps, trace.size());
 }
 
-TEST(Trace, DecodedCursorMatchesTraceCursor) {
-  // The batch replay path pre-decodes the whole trace once (DecodedTrace);
-  // its cursor must hand out exactly what the decode-on-the-fly cursor does.
-  const Program p = loop_program();
-  const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);
-  const DecodedTrace decoded(trace, p);
-  ASSERT_EQ(decoded.size(), trace.size());
-  TraceCursor on_the_fly(trace, p);
-  DecodedCursor pre(decoded);
-  while (!on_the_fly.halted()) {
-    ASSERT_FALSE(pre.halted());
-    EXPECT_EQ(on_the_fly.next_pc(), pre.next_pc());
-    const DecodedStep a = on_the_fly.step();
-    const DecodedStep& b = pre.step();
-    EXPECT_EQ(a.info.index, b.info.index);
-    EXPECT_EQ(a.pc, b.pc);
-    EXPECT_EQ(a.fu, b.fu);
-    EXPECT_EQ(a.dst, b.dst);
-    EXPECT_EQ(a.is_ctrl, b.is_ctrl);
-    EXPECT_EQ(a.is_store, b.is_store);
-    EXPECT_EQ(a.is_ext, b.is_ext);
-  }
-  EXPECT_TRUE(pre.halted());
-}
-
 TEST(Trace, MemoryFootprintIsCompact) {
   const Program p = loop_program();
   const CommittedTrace trace = record_trace(p, nullptr, 1u << 20);

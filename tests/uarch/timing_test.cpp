@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "asmkit/assembler.hpp"
 #include "extinst/rewrite.hpp"
 #include "extinst/select.hpp"
@@ -263,6 +267,60 @@ TEST(Timing, EmptyProgramCompletes) {
   const Program p = assemble("halt");
   const SimStats st = simulate({.program = &p, .machine = base_machine()});
   EXPECT_EQ(st.committed, 1u);
+}
+
+// Machines validate() rejects. Unchecked, each one spun the pipeline to
+// its 2^32-cycle bound (tens of seconds) or died in std::bad_alloc.
+struct BadMachine {
+  const char* field;
+  MachineConfig machine;
+};
+
+std::vector<BadMachine> bad_machines() {
+  std::vector<BadMachine> out;
+  const auto with = [&](const char* field, auto set) {
+    MachineConfig m = base_machine();
+    set(m);
+    out.push_back({field, m});
+  };
+  with("ruu_size", [](MachineConfig& m) { m.ruu_size = 0; });
+  with("ruu_size", [](MachineConfig& m) { m.ruu_size = -5; });
+  with("ruu_size", [](MachineConfig& m) { m.ruu_size = 2000000000; });
+  with("issue_width", [](MachineConfig& m) { m.issue_width = 0; });
+  with("commit_width", [](MachineConfig& m) { m.commit_width = 0; });
+  return out;
+}
+
+TEST(Timing, InvalidMachinesFailFastNamingTheField) {
+  const Program p = assemble(R"(
+        li $s0, 100
+  loop: addiu $s0, $s0, -1
+        bgtz $s0, loop
+        halt
+  )");
+  for (const BadMachine& bad : bad_machines()) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      simulate({.program = &p, .machine = bad.machine});
+      ADD_FAILURE() << bad.field << ": accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1))
+        << bad.field;
+  }
+  // The bounds themselves are accepted.
+  MachineConfig edge = base_machine();
+  edge.ruu_size = 1;
+  edge.fetch_width = edge.decode_width = edge.issue_width =
+      edge.commit_width = MachineConfig::kMaxWidth;
+  EXPECT_NO_THROW(validate(edge));
+  edge.ruu_size = MachineConfig::kMaxQueue;
+  EXPECT_NO_THROW(validate(edge));
+  edge.fetch_queue_size = MachineConfig::kMaxQueue + 1;
+  EXPECT_THROW(validate(edge), SimError);
 }
 
 }  // namespace

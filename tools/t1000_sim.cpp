@@ -35,14 +35,9 @@ int main(int argc, char** argv) {
   parser.add_flag("--multi-cycle-ext", "EXT ops take their full base latency",
                   &multi_cycle_ext);
   parser.add_int("--ruu", "N", "register update unit entries", &ruu, 1,
-                 1 << 20);
+                 MachineConfig::kMaxQueue);
   parser.add_int("--width", "N", "fetch/decode/issue/commit width", &width, 1,
-                 64);
-  bool replay = false;
-  parser.add_flag("--replay",
-                  "time via committed-trace record + replay instead of "
-                  "execution-driven simulation (must be cycle-exact)",
-                  &replay);
+                 MachineConfig::kMaxWidth);
   bool stall_breakdown = false;
   parser.add_flag("--stall-breakdown",
                   "attribute every non-committing cycle to one stall cause "
@@ -79,22 +74,15 @@ int main(int argc, char** argv) {
     const LoadedObject obj = tools::load_input(input);
     const ExtInstTable* table =
         obj.ext_table.size() > 0 ? &obj.ext_table : nullptr;
-    SimStats st;
-    CommittedTrace trace;
     SimObservation obs;
     obs.want_trace = !trace_out.empty();
     const bool observe = stall_breakdown || obs.want_trace;
-    SimObservation* obs_ptr = observe ? &obs : nullptr;
-    if (replay) {
-      trace = record_trace(obj.program, table, 1ull << 32);
-      st = simulate({.program = &obj.program, .ext_table = table, .trace = &trace, .machine = cfg, .observation = obs_ptr});
-      std::printf("trace:             %llu steps, %llu KiB, hash %s\n",
-                  static_cast<unsigned long long>(trace.size()),
-                  static_cast<unsigned long long>(trace.memory_bytes() / 1024),
-                  to_hex(trace.content_hash()).c_str());
-    } else {
-      st = simulate({.program = &obj.program, .ext_table = table, .machine = cfg, .observation = obs_ptr});
-    }
+    const CommittedTrace trace = record_trace(obj.program, table, 1ull << 32);
+    const SimStats st = simulate({.program = &obj.program, .ext_table = table, .trace = &trace, .machine = cfg, .observation = observe ? &obs : nullptr});
+    std::printf("trace:             %llu steps, %llu KiB, hash %s\n",
+                static_cast<unsigned long long>(trace.size()),
+                static_cast<unsigned long long>(trace.memory_bytes() / 1024),
+                to_hex(trace.content_hash()).c_str());
     std::printf("cycles:            %llu\n",
                 static_cast<unsigned long long>(st.cycles));
     std::printf("instructions:      %llu  (IPC %.3f)\n",
@@ -158,13 +146,11 @@ int main(int argc, char** argv) {
     doc["machine"] = to_json(cfg);
     doc["stats"] = to_json(st);
     if (observe) doc["stalls"] = to_json(obs.stalls);
-    if (replay) {
-      Json tj = Json::object();
-      tj["steps"] = Json(static_cast<std::uint64_t>(trace.size()));
-      tj["memory_bytes"] = Json(trace.memory_bytes());
-      tj["content_hash"] = Json(to_hex(trace.content_hash()));
-      doc["trace"] = std::move(tj);
-    }
+    Json tj = Json::object();
+    tj["steps"] = Json(static_cast<std::uint64_t>(trace.size()));
+    tj["memory_bytes"] = Json(trace.memory_bytes());
+    tj["content_hash"] = Json(to_hex(trace.content_hash()));
+    doc["trace"] = std::move(tj);
     return common.finish(doc);
   } catch (...) {
     return tools::finish_current_exception(common, "t1000-sim");
