@@ -1,6 +1,8 @@
 #include "harness/serialize.hpp"
 
 #include <initializer_list>
+#include <string>
+#include <utility>
 
 #include "harness/identity.hpp"
 #include "uarch/timing.hpp"
@@ -39,14 +41,27 @@ void reject_unknown_members(const Json& j, const char* context,
   }
 }
 
+// Reads an integer member into a narrower field. A value the field cannot
+// hold is an error naming the member, never a silent truncation (2^32 + 32
+// would otherwise read as 32).
+template <class T>
+void read_narrow(const Json& j, std::string_view key, T* out) {
+  if (const Json* v = j.find(key)) {
+    const std::int64_t value = v->as_int();
+    if (!std::in_range<T>(value)) {
+      throw JsonError("json: " + std::string(key) + " = " +
+                      std::to_string(value) + " does not fit its field");
+    }
+    *out = static_cast<T>(value);
+  }
+}
+
 void read_int(const Json& j, std::string_view key, int* out) {
-  if (const Json* v = j.find(key)) *out = static_cast<int>(v->as_int());
+  read_narrow(j, key, out);
 }
 
 void read_uint32(const Json& j, std::string_view key, std::uint32_t* out) {
-  if (const Json* v = j.find(key)) {
-    *out = static_cast<std::uint32_t>(v->as_uint());
-  }
+  read_narrow(j, key, out);
 }
 
 void read_uint64(const Json& j, std::string_view key, std::uint64_t* out) {
@@ -285,10 +300,10 @@ Json to_json(const RunSpec& spec) {
   return j;
 }
 
-CacheConfig cache_config_from_json(const Json& j) {
+CacheConfig cache_config_from_json(const Json& j, const CacheConfig& base) {
   reject_unknown_members(j, "cache config",
                          {"size_bytes", "line_bytes", "assoc", "hit_latency"});
-  CacheConfig c;
+  CacheConfig c = base;
   read_uint32(j, "size_bytes", &c.size_bytes);
   read_uint32(j, "line_bytes", &c.line_bytes);
   read_uint32(j, "assoc", &c.assoc);
@@ -353,9 +368,9 @@ MachineConfig machine_config_from_json(const Json& j) {
   read_int(j, "int_mults", &c.int_mults);
   read_int(j, "mem_ports", &c.mem_ports);
   read_int(j, "max_outstanding_misses", &c.max_outstanding_misses);
-  if (const Json* v = j.find("il1")) c.il1 = cache_config_from_json(*v);
-  if (const Json* v = j.find("dl1")) c.dl1 = cache_config_from_json(*v);
-  if (const Json* v = j.find("l2")) c.l2 = cache_config_from_json(*v);
+  if (const Json* v = j.find("il1")) c.il1 = cache_config_from_json(*v, c.il1);
+  if (const Json* v = j.find("dl1")) c.dl1 = cache_config_from_json(*v, c.dl1);
+  if (const Json* v = j.find("l2")) c.l2 = cache_config_from_json(*v, c.l2);
   read_int(j, "memory_latency", &c.memory_latency);
   if (const Json* v = j.find("itlb")) c.itlb = tlb_config_from_json(*v);
   if (const Json* v = j.find("dtlb")) c.dtlb = tlb_config_from_json(*v);

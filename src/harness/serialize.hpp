@@ -48,7 +48,10 @@ Json to_json(const ExtractPolicy& policy);
 Json to_json(const SelectPolicy& policy);
 Json to_json(const RunSpec& spec);
 
-CacheConfig cache_config_from_json(const Json& j);
+// Members absent from `j` keep their value in `base`: a machine's partial
+// "dl1" object changes only what it names, keeping that level's geometry.
+CacheConfig cache_config_from_json(const Json& j,
+                                   const CacheConfig& base = CacheConfig{});
 TlbConfig tlb_config_from_json(const Json& j);
 PfuConfig pfu_config_from_json(const Json& j);
 BranchPredictorConfig branch_predictor_config_from_json(const Json& j);

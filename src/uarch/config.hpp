@@ -43,10 +43,20 @@ struct PfuConfig {
 };
 
 struct MachineConfig {
-  // Bounds validate() (uarch/timing.hpp) enforces: every width lies in
-  // [1, kMaxWidth]; ruu_size and fetch_queue_size in [1, kMaxQueue].
+  // Bounds validate() (uarch/timing.hpp) enforces, so no machine can
+  // crash the model, spin it to its cycle bound or allocate gigabytes:
+  // every width and FU count lies in [1, kMaxWidth]; ruu_size and
+  // fetch_queue_size in [1, kMaxQueue], MSHRs in [0, kMaxQueue]; a cache
+  // holds at least one set and at most kMaxTable lines, and predictor
+  // tables hold [1, kMaxTable] entries; associativity, TLB entries and the
+  // PFU count (each searched linearly) are at most kMaxAssoc; every
+  // latency and penalty lies in [0, kMaxLatency], which also keeps their
+  // sums within int, and pfu.levels_per_cycle in [1, kMaxLatency].
   static constexpr int kMaxWidth = 64;
   static constexpr int kMaxQueue = 1 << 20;
+  static constexpr int kMaxTable = 1 << 20;
+  static constexpr int kMaxAssoc = 1 << 12;
+  static constexpr int kMaxLatency = 1 << 16;
 
   int fetch_width = 4;
   int decode_width = 4;

@@ -38,6 +38,7 @@ void StallBreakdown::accumulate(const StallBreakdown& other) {
 namespace {
 
 constexpr std::uint64_t kNoDep = ~0ull;
+constexpr std::uint64_t kNever = ~0ull;  // no event bounds the next cycle
 
 // Smallest power of two >= v (v >= 1): ring-buffer capacities, so indexing
 // is a mask instead of an integer division on the hot path.
@@ -60,9 +61,12 @@ struct RuuEntry {
   std::uint64_t pfu_ready = 0;  // EXT: earliest issue (reconfiguration)
   // Earliest cycle a failed issue attempt could possibly succeed (producer
   // completion latency, PFU reconfiguration, pipeline fill). 0 = unknown,
-  // re-examine every cycle. Purely a scan-skipping memo: an entry with
-  // wake > now would have failed try_issue without consuming any FU, so
-  // skipping it leaves the issue order and FU allocation untouched.
+  // re-examine every cycle. A scan-skipping memo: an entry with wake > now
+  // would have failed try_issue without consuming any FU, so skipping it
+  // leaves the issue order and FU allocation untouched. Also a
+  // cycle-skipping bound: after a quiet cycle, no pending entry can issue
+  // before the smallest wake (run() jumps there). A failure for lack of an
+  // FU, port or MSHR leaves wake <= now, which forbids the jump.
   std::uint64_t wake = 0;
 };
 
@@ -241,20 +245,31 @@ class Pipeline {
 
   // Runs the machine until the trace is exhausted and the pipeline has
   // drained; call once. Throws SimError past the cycle bound.
+  //
+  // A cycle in which no stage changed state is quiet: the next cycle sees
+  // the same machine, so every cycle up to the first one at which some
+  // stage can act (next_active_cycle) is quiet too. Unobserved runs jump
+  // straight there; observed runs step every cycle, because attribution
+  // charges a stall cause to each one. Both yield the same SimStats.
   SimStats run() {
     while (!source_.halted() || fq_head_ != fq_tail_ || head_ != tail_) {
       if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
       const int commits = commit();
-      issue();
-      resolve_mispredict();
-      dispatch();
-      fetch();
+      std::uint64_t min_wake = kNever;
+      const bool issued = issue(min_wake);
+      const bool resolved = resolve_mispredict();
+      const bool dispatched = dispatch();
+      const bool fetched = fetch();
       if constexpr (Obs::kEnabled) {
         // Attribution runs at end of cycle: every non-committing cycle is
         // charged to exactly one cause (the invariant commit_cycles +
         // sum(causes) == cycles is pinned by tests).
         obs_.on_cycle(commits);
         if (commits == 0) obs_.charge(classify_stall());
+      } else if (commits == 0 && !issued && !resolved && !dispatched &&
+                 !fetched) {
+        now_ = std::max(now_ + 1, next_active_cycle(min_wake));
+        continue;
       }
       ++now_;
     }
@@ -431,8 +446,11 @@ class Pipeline {
     return true;
   }
 
-  void issue() {
-    if (pending_.empty()) return;
+  // Returns true when anything issued. min_wake is lowered to the smallest
+  // wake among the entries left pending; it bounds the next issue only
+  // when nothing issued (the whole list was then scanned).
+  bool issue(std::uint64_t& min_wake) {
+    if (pending_.empty()) return false;
     int issued = 0;
     int alus = 0;
     int mults = 0;
@@ -455,20 +473,24 @@ class Pipeline {
       if (e.wake <= now_ && try_issue(e, alus, mults, ports, mshrs_free)) {
         ++issued;
       } else {
+        min_wake = std::min(min_wake, e.wake);
         pending_[keep++] = s;
       }
     }
     for (; i < pending_.size(); ++i) pending_[keep++] = pending_[i];
     pending_.resize(keep);
+    return issued > 0;
   }
 
   // --- dispatch (decode/rename) ---
-  void dispatch() {
-    for (int n = 0; n < config_.decode_width; ++n) {
-      if (fq_head_ == fq_tail_ || ruu_full()) return;
+  // Returns true when anything dispatched.
+  bool dispatch() {
+    int n = 0;
+    for (; n < config_.decode_width; ++n) {
+      if (fq_head_ == fq_tail_ || ruu_full()) break;
       const FetchSlot& slot =
           fetch_ring_[static_cast<std::size_t>(fq_head_) & fetch_mask_];
-      if (slot.ready_cycle > now_) return;
+      if (slot.ready_cycle > now_) break;
 
       RuuEntry& e = entry(tail_);
       e = RuuEntry{};
@@ -498,15 +520,17 @@ class Pipeline {
       ++tail_;
       ++fq_head_;
     }
+    return n > 0;
   }
 
   // When a mispredicted branch resolves, schedule the front-end redirect.
-  void resolve_mispredict() {
-    if (!blocked_on_branch_ || pending_branch_seq_ == kNoDep) return;
+  // Returns true when it did.
+  bool resolve_mispredict() {
+    if (!blocked_on_branch_ || pending_branch_seq_ == kNoDep) return false;
     // Fetch is frozen, so the RUU tail cannot advance and the entry is
     // never recycled before this check sees it complete.
     const RuuEntry& e = entry(pending_branch_seq_);
-    if (!e.completed || e.complete_cycle > now_) return;
+    if (!e.completed || e.complete_cycle > now_) return false;
     fetch_stall_until_ =
         std::max(fetch_stall_until_,
                  e.complete_cycle +
@@ -514,17 +538,21 @@ class Pipeline {
     blocked_on_branch_ = false;
     pending_branch_seq_ = kNoDep;
     if constexpr (Obs::kEnabled) obs_.on_fetch_redirect();
+    return true;
+  }
+
+  bool fetch_queue_full() const {
+    return static_cast<int>(fq_tail_ - fq_head_) >= config_.fetch_queue_size;
   }
 
   // --- fetch ---
-  void fetch() {
-    if (blocked_on_branch_) return;  // awaiting a branch redirect
-    if (now_ < fetch_stall_until_) return;
+  // Returns true when anything was taken from the source, the off-the-end
+  // halt sentinel included (it is consumed without being enqueued).
+  bool fetch() {
+    if (blocked_on_branch_) return false;  // awaiting a branch redirect
+    if (now_ < fetch_stall_until_) return false;
     for (int n = 0; n < config_.fetch_width; ++n) {
-      if (source_.halted()) return;
-      if (static_cast<int>(fq_tail_ - fq_head_) >= config_.fetch_queue_size) {
-        return;
-      }
+      if (source_.halted() || fetch_queue_full()) return n > 0;
       const std::uint32_t pc = source_.next_pc();
       const std::uint32_t line = pc / config_.il1.line_bytes;
       std::uint64_t ready = now_ + 1;
@@ -541,7 +569,7 @@ class Pipeline {
       ready = std::max(ready, current_line_ready_);
 
       const DecodedStep step = source_.step();
-      if (step.info.index >= program_.size()) return;  // off-the-end halt
+      if (step.info.index >= program_.size()) return true;  // off-the-end halt
       bool correct = true;
       if (step.is_ctrl) {
         correct = bpred_.predict_and_update(step.info.ins, step.info.index,
@@ -556,11 +584,48 @@ class Pipeline {
       if (!correct) {
         // Fetch halts here until the branch resolves in the back end.
         blocked_on_branch_ = true;
-        return;
+        return true;
       }
-      if (step.info.branch_taken) return;  // no fetching past a taken branch
-      if (fetch_stall_until_ > now_) return;
+      // No fetching past a taken branch or into an I-cache miss stall.
+      if (step.info.branch_taken || fetch_stall_until_ > now_) return true;
     }
+    return true;
+  }
+
+  // After a quiet cycle (no stage changed state), the first later cycle at
+  // which some stage can act; every cycle before it is quiet too, because
+  // the machine it sees is unchanged. The events that bound it, one per
+  // way a stage can next act:
+  //   issue    — the smallest wake among pending entries (min_wake);
+  //   commit   — the completion of an issued head (an unissued head must
+  //              issue first, which min_wake bounds);
+  //   redirect — the completion of an issued mispredicted branch;
+  //   dispatch — the fetch-queue head's ready cycle, when the RUU has room
+  //              (a full RUU must commit first);
+  //   fetch    — fetch_stall_until_, when fetch is neither blocked on a
+  //              branch, nor out of trace, nor facing a full queue.
+  // Clamped to max_cycles_ + 1, so the cycle bound fires where stepping
+  // would fire it (also when nothing bounds the jump: a deadlock).
+  std::uint64_t next_active_cycle(std::uint64_t min_wake) {
+    std::uint64_t next = min_wake;
+    if (head_ != tail_) {
+      const RuuEntry& h = entry(head_);
+      if (h.completed) next = std::min(next, h.complete_cycle);
+    }
+    if (blocked_on_branch_ && pending_branch_seq_ != kNoDep) {
+      const RuuEntry& b = entry(pending_branch_seq_);
+      if (b.completed) next = std::min(next, b.complete_cycle);
+    }
+    if (fq_head_ != fq_tail_ && !ruu_full()) {
+      next = std::min(
+          next,
+          fetch_ring_[static_cast<std::size_t>(fq_head_) & fetch_mask_]
+              .ready_cycle);
+    }
+    if (!blocked_on_branch_ && !source_.halted() && !fetch_queue_full()) {
+      next = std::min(next, fetch_stall_until_);
+    }
+    return max_cycles_ == kNever ? next : std::min(next, max_cycles_ + 1);
   }
 
   // --- stall-cause classification (observed runs only) ---
@@ -704,20 +769,62 @@ std::uint64_t record_bound(const MachineConfig& machine,
 }  // namespace
 
 void validate(const MachineConfig& machine) {
-  const auto check = [](const char* field, int value, int max) {
-    if (value < 1 || value > max) {
-      throw SimError("machine config: " + std::string(field) + " = " +
-                     std::to_string(value) + " is outside [1, " +
-                     std::to_string(max) + "]");
+  using M = MachineConfig;
+  const auto check = [](const std::string& field, std::int64_t value,
+                        std::int64_t min, std::int64_t max) {
+    if (value < min || value > max) {
+      throw SimError("machine config: " + field + " = " +
+                     std::to_string(value) + " is outside [" +
+                     std::to_string(min) + ", " + std::to_string(max) + "]");
     }
   };
-  check("fetch_width", machine.fetch_width, MachineConfig::kMaxWidth);
-  check("decode_width", machine.decode_width, MachineConfig::kMaxWidth);
-  check("issue_width", machine.issue_width, MachineConfig::kMaxWidth);
-  check("commit_width", machine.commit_width, MachineConfig::kMaxWidth);
-  check("ruu_size", machine.ruu_size, MachineConfig::kMaxQueue);
-  check("fetch_queue_size", machine.fetch_queue_size,
-        MachineConfig::kMaxQueue);
+  check("fetch_width", machine.fetch_width, 1, M::kMaxWidth);
+  check("decode_width", machine.decode_width, 1, M::kMaxWidth);
+  check("issue_width", machine.issue_width, 1, M::kMaxWidth);
+  check("commit_width", machine.commit_width, 1, M::kMaxWidth);
+  check("ruu_size", machine.ruu_size, 1, M::kMaxQueue);
+  check("fetch_queue_size", machine.fetch_queue_size, 1, M::kMaxQueue);
+  check("int_alus", machine.int_alus, 1, M::kMaxWidth);
+  check("int_mults", machine.int_mults, 1, M::kMaxWidth);
+  check("mem_ports", machine.mem_ports, 1, M::kMaxWidth);
+  check("max_outstanding_misses", machine.max_outstanding_misses, 0,
+        M::kMaxQueue);
+  const auto check_cache = [&](const std::string& name,
+                               const CacheConfig& c) {
+    check(name + ".line_bytes", c.line_bytes, 1,
+          std::numeric_limits<std::uint32_t>::max());
+    check(name + ".assoc", c.assoc, 1, M::kMaxAssoc);
+    // At least one set, and at most kMaxTable lines.
+    check(name + ".size_bytes", c.size_bytes,
+          std::int64_t{c.line_bytes} * c.assoc,
+          std::int64_t{c.line_bytes} * M::kMaxTable);
+    check(name + ".hit_latency", c.hit_latency, 0, M::kMaxLatency);
+  };
+  check_cache("il1", machine.il1);
+  check_cache("dl1", machine.dl1);
+  check_cache("l2", machine.l2);
+  check("memory_latency", machine.memory_latency, 0, M::kMaxLatency);
+  const auto check_tlb = [&](const std::string& name, const TlbConfig& t) {
+    check(name + ".entries", t.entries, 1, M::kMaxAssoc);
+    check(name + ".page_bytes", t.page_bytes, 1,
+          std::numeric_limits<std::uint32_t>::max());
+    check(name + ".miss_latency", t.miss_latency, 0, M::kMaxLatency);
+  };
+  check_tlb("itlb", machine.itlb);
+  check_tlb("dtlb", machine.dtlb);
+  if (machine.pfu.count != PfuConfig::kUnlimited) {
+    check("pfu.count", machine.pfu.count, 0, M::kMaxAssoc);
+  }
+  check("pfu.reconfig_latency", machine.pfu.reconfig_latency, 0,
+        M::kMaxLatency);
+  check("pfu.levels_per_cycle", machine.pfu.levels_per_cycle, 1,
+        M::kMaxLatency);
+  check("branch.bimodal_entries", machine.branch.bimodal_entries, 1,
+        M::kMaxTable);
+  check("branch.target_entries", machine.branch.target_entries, 1,
+        M::kMaxTable);
+  check("branch.mispredict_penalty", machine.branch.mispredict_penalty, 0,
+        M::kMaxLatency);
 }
 
 SimStats simulate(const SimRequest& request) {

@@ -168,11 +168,12 @@ struct SimRequest {
   SimObservation* observation = nullptr;
 };
 
-// Throws SimError naming the field and its bound when a width, ruu_size
-// or fetch_queue_size lies outside MachineConfig's kMax* limits — values
-// that would otherwise spin the pipeline to its cycle bound or exhaust
-// memory. simulate() and every batch lane call it before any work;
-// machine_config_from_json (harness/serialize.hpp) calls it too.
+// Throws SimError naming the field and its bound when any field of
+// `machine` lies outside the limits MachineConfig documents — values that
+// would otherwise divide by zero, index an empty table, spin the pipeline
+// to its cycle bound or exhaust memory. simulate() and every batch lane
+// call it before any work; machine_config_from_json
+// (harness/serialize.hpp) calls it too.
 void validate(const MachineConfig& machine);
 
 // Runs one timing simulation described by `request` and returns the

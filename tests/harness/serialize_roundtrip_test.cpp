@@ -62,6 +62,14 @@ TEST(SerializeRoundTrip, AbsentMembersKeepStructDefaults) {
   EXPECT_EQ(spec.selector, defaults.selector);
   EXPECT_EQ(spec.max_cycles, defaults.max_cycles);
   EXPECT_EQ(spec.verify, defaults.verify);
+
+  // A partial cache object keeps that level's geometry; it used to reset
+  // size_bytes to 0 and the run died dividing by zero sets.
+  const MachineConfig slow_l1 = machine_config_from_json(
+      Json::parse("{\"dl1\": {\"hit_latency\": 2}}"));
+  EXPECT_EQ(slow_l1.dl1.hit_latency, 2);
+  EXPECT_EQ(slow_l1.dl1.size_bytes, defaults.machine.dl1.size_bytes);
+  EXPECT_EQ(slow_l1.dl1.assoc, defaults.machine.dl1.assoc);
 }
 
 TEST(SerializeRoundTrip, UnknownMembersAreRejectedWithContext) {

@@ -74,6 +74,38 @@ Json wait_for_job(SimService& service, std::uint64_t id) {
   return Json();
 }
 
+// Machines a request may name that the model cannot run: each is the
+// field validate() must name and a "machine" member carrying it. Unchecked,
+// the first group spun a worker to the cycle bound (or died in bad_alloc),
+// the second killed the daemon with SIGFPE or SIGSEGV.
+struct HostileMachine {
+  const char* field;
+  const char* machine;
+};
+constexpr HostileMachine kHostileMachines[] = {
+    {"ruu_size", R"({"ruu_size": 0})"},
+    {"ruu_size", R"({"ruu_size": -5})"},
+    {"ruu_size", R"({"ruu_size": 2000000000})"},
+    {"issue_width", R"({"issue_width": 0})"},
+    {"commit_width", R"({"commit_width": 0})"},
+    {"int_alus", R"({"int_alus": 0})"},
+    {"max_outstanding_misses", R"({"max_outstanding_misses": -1})"},
+    {"memory_latency", R"({"memory_latency": -5})"},
+    {"dl1.line_bytes", R"({"dl1": {"line_bytes": 0}})"},
+    {"l2.assoc", R"({"l2": {"assoc": 0}})"},
+    {"dtlb.page_bytes", R"({"dtlb": {"page_bytes": 0}})"},
+    {"pfu.levels_per_cycle",
+     R"({"pfu": {"count": 2, "multi_cycle_ext": true, "levels_per_cycle": 0}})"},
+    {"itlb.entries", R"({"itlb": {"entries": 0}})"},
+    {"branch.bimodal_entries",
+     R"({"branch": {"kind": "bimodal", "bimodal_entries": 0}})"},
+};
+
+std::string hostile_request(const HostileMachine& hostile) {
+  return std::string(R"({"runs": [{"workload": "gsm_dec", "machine": )") +
+         hostile.machine + "}]}";
+}
+
 TEST(Service, SubmittedJobMatchesInProcessGridByteForByte) {
   SimService service(ServiceOptions{});
   const Json request = small_request();
@@ -230,24 +262,18 @@ TEST(Service, HostileBodiesAre400BeforeAdmission) {
   EXPECT_EQ(nested.status, 400);
   EXPECT_NE(nested.body.find("kMaxParseDepth"), std::string::npos);
 
-  // Unusable machines used to be admitted and spin a worker for >20 s
-  // each (or die in bad_alloc); they are now parse errors naming the field.
-  const std::pair<const char*, long long> machines[] = {
-      {"ruu_size", 0},         {"ruu_size", -5},
-      {"ruu_size", 2000000000}, {"issue_width", 0},
-      {"commit_width", 0},
-  };
-  for (const auto& [field, value] : machines) {
-    Json spec = to_json(baseline_spec("gsm_dec"));
-    spec["machine"][field] = Json(value);
-    Json runs = Json::array();
-    runs.push_back(std::move(spec));
-    Json request = Json::object();
-    request["runs"] = std::move(runs);
-    const HttpResponse r = service.handle_http(post("/v1/jobs", request.dump()));
-    EXPECT_EQ(r.status, 400) << field << " = " << value;
-    EXPECT_NE(r.body.find(field), std::string::npos) << r.body;
+  // Unusable machines are parse errors naming the field.
+  for (const HostileMachine& hostile : kHostileMachines) {
+    const HttpResponse r =
+        service.handle_http(post("/v1/jobs", hostile_request(hostile)));
+    EXPECT_EQ(r.status, 400) << hostile.machine;
+    EXPECT_NE(r.body.find(hostile.field), std::string::npos) << r.body;
   }
+  // A value its field cannot hold is an error, not a truncation to 0.
+  const HttpResponse wide = service.handle_http(post(
+      "/v1/jobs", hostile_request({"dl1", R"({"dl1": {"assoc": 4294967300}})"})));
+  EXPECT_EQ(wide.status, 400);
+  EXPECT_NE(wide.body.find("assoc"), std::string::npos) << wide.body;
   const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
   EXPECT_EQ(list.at("jobs").size(), 0u);
 }
@@ -577,6 +603,37 @@ TEST(Http, DeeplyNestedBodyIs400AndTheDaemonKeepsServing) {
   const std::string health =
       http_round_trip(server.port(), request_text("GET", "/healthz", ""));
   EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
+  server.stop();
+}
+
+TEST(Http, HostileMachinesAre400AndTheDaemonKeepsServing) {
+  SimService service(ServiceOptions{});
+  HttpServer::Options options;  // ephemeral port
+  HttpServer server(options, [&service](const HttpRequest& request) {
+    return service.handle_http(request);
+  });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  for (const HostileMachine& hostile : kHostileMachines) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string reply = http_round_trip(
+        server.port(),
+        request_text("POST", "/v1/jobs", hostile_request(hostile)));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2))
+        << hostile.machine;
+    EXPECT_NE(reply.find("HTTP/1.1 400 Bad Request"), std::string::npos)
+        << hostile.machine << "\n" << reply;
+    EXPECT_NE(reply.find(hostile.field), std::string::npos) << reply;
+  }
+
+  // The daemon is alive and still runs a real job to completion.
+  const std::string submitted = http_round_trip(
+      server.port(),
+      request_text("POST", "/v1/jobs", small_request().dump()));
+  EXPECT_NE(submitted.find("HTTP/1.1 202 Accepted"), std::string::npos);
+  EXPECT_EQ(wait_for_job(service, 1).at("state").as_string(), "done");
   server.stop();
 }
 

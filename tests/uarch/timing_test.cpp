@@ -9,6 +9,8 @@
 #include "asmkit/assembler.hpp"
 #include "extinst/rewrite.hpp"
 #include "extinst/select.hpp"
+#include "harness/experiment.hpp"
+#include "workloads/workload.hpp"
 
 namespace t1000 {
 namespace {
@@ -288,6 +290,51 @@ std::vector<BadMachine> bad_machines() {
   with("ruu_size", [](MachineConfig& m) { m.ruu_size = 2000000000; });
   with("issue_width", [](MachineConfig& m) { m.issue_width = 0; });
   with("commit_width", [](MachineConfig& m) { m.commit_width = 0; });
+  // Each of these divided by zero (SIGFPE) or indexed an empty table
+  // (SIGSEGV) inside the pipeline.
+  with("dl1.line_bytes", [](MachineConfig& m) { m.dl1.line_bytes = 0; });
+  with("l2.assoc", [](MachineConfig& m) { m.l2.assoc = 0; });
+  with("dtlb.page_bytes", [](MachineConfig& m) { m.dtlb.page_bytes = 0; });
+  with("pfu.levels_per_cycle", [](MachineConfig& m) {
+    m.pfu.multi_cycle_ext = true;
+    m.pfu.levels_per_cycle = 0;
+  });
+  with("itlb.entries", [](MachineConfig& m) { m.itlb.entries = 0; });
+  with("branch.bimodal_entries", [](MachineConfig& m) {
+    m.branch.kind = BranchPredictorKind::kBimodal;
+    m.branch.bimodal_entries = 0;
+  });
+  with("branch.target_entries", [](MachineConfig& m) {
+    m.branch.kind = BranchPredictorKind::kBimodal;
+    m.branch.target_entries = 0;
+  });
+  // No set: 1 KiB cannot hold one 4-way set of 512-byte lines.
+  with("il1.size_bytes", [](MachineConfig& m) {
+    m.il1 = {.size_bytes = 1024, .line_bytes = 512, .assoc = 4};
+  });
+  // Each of these spun to the cycle bound, or would have.
+  with("int_alus", [](MachineConfig& m) { m.int_alus = 0; });
+  with("int_mults", [](MachineConfig& m) { m.int_mults = 0; });
+  with("mem_ports", [](MachineConfig& m) { m.mem_ports = 0; });
+  with("max_outstanding_misses",
+       [](MachineConfig& m) { m.max_outstanding_misses = -1; });
+  with("memory_latency", [](MachineConfig& m) { m.memory_latency = -5; });
+  with("dl1.hit_latency", [](MachineConfig& m) { m.dl1.hit_latency = -1; });
+  with("dtlb.miss_latency", [](MachineConfig& m) { m.dtlb.miss_latency = -1; });
+  with("pfu.reconfig_latency",
+       [](MachineConfig& m) { m.pfu.reconfig_latency = -10; });
+  with("branch.mispredict_penalty",
+       [](MachineConfig& m) { m.branch.mispredict_penalty = -3; });
+  with("pfu.count", [](MachineConfig& m) { m.pfu.count = -2; });
+  // Each of these allocated gigabytes (or overflowed int arithmetic).
+  with("l2.size_bytes", [](MachineConfig& m) {
+    m.l2 = {.size_bytes = 0xFFFFFFF0u, .line_bytes = 16, .assoc = 1};
+  });
+  with("branch.bimodal_entries",
+       [](MachineConfig& m) { m.branch.bimodal_entries = 1u << 31; });
+  with("itlb.entries", [](MachineConfig& m) { m.itlb.entries = 1u << 30; });
+  with("memory_latency",
+       [](MachineConfig& m) { m.memory_latency = 2000000000; });
   return out;
 }
 
@@ -321,6 +368,130 @@ TEST(Timing, InvalidMachinesFailFastNamingTheField) {
   EXPECT_NO_THROW(validate(edge));
   edge.fetch_queue_size = MachineConfig::kMaxQueue + 1;
   EXPECT_THROW(validate(edge), SimError);
+
+  MachineConfig lowest = base_machine();
+  lowest.int_alus = lowest.int_mults = lowest.mem_ports = 1;
+  lowest.max_outstanding_misses = 0;  // unlimited
+  lowest.dl1 = {.size_bytes = 1, .line_bytes = 1, .assoc = 1,
+                .hit_latency = 0};
+  lowest.itlb = {.entries = 1, .page_bytes = 1, .miss_latency = 0};
+  lowest.memory_latency = 0;
+  lowest.pfu = {.count = 0, .reconfig_latency = 0, .levels_per_cycle = 1};
+  lowest.branch = {.kind = BranchPredictorKind::kBimodal,
+                   .bimodal_entries = 1, .target_entries = 1,
+                   .mispredict_penalty = 0};
+  EXPECT_NO_THROW(validate(lowest));
+  MachineConfig highest = base_machine();
+  highest.l2 = {.size_bytes = 64u * MachineConfig::kMaxTable, .line_bytes = 64,
+                .assoc = MachineConfig::kMaxAssoc,
+                .hit_latency = MachineConfig::kMaxLatency};
+  highest.dtlb.entries = MachineConfig::kMaxAssoc;
+  highest.pfu.count = MachineConfig::kMaxAssoc;
+  highest.branch.bimodal_entries = MachineConfig::kMaxTable;
+  EXPECT_NO_THROW(validate(highest));
+  highest.l2.size_bytes += 64;  // one line too many
+  EXPECT_THROW(validate(highest), SimError);
+}
+
+// A program returning from main ends with the off-the-end halt sentinel,
+// which fetch consumes without enqueueing. Under a real predictor the
+// return mispredicts, so the sentinel is fetched only after the redirect,
+// into an empty machine: that fetch is the cycle's only activity, and a
+// jump taken from it would skip past the end of the run.
+TEST(Timing, SentinelFetchedIntoAnEmptyMachineEndsTheRunOnTime) {
+  const Program p = assemble(R"(
+        li $s0, 3
+  loop: addiu $v0, $v0, 2
+        addiu $s0, $s0, -1
+        bgtz $s0, loop
+        jr $ra
+  )");
+  for (const BranchPredictorKind kind :
+       {BranchPredictorKind::kPerfect, BranchPredictorKind::kBimodal}) {
+    MachineConfig m = base_machine();
+    m.branch.kind = kind;
+    const SimStats plain = simulate({.program = &p, .machine = m});
+    SimObservation obs;
+    const SimStats observed =
+        simulate({.program = &p, .machine = m, .observation = &obs});
+    EXPECT_EQ(plain.cycles, observed.cycles);
+    EXPECT_EQ(obs.stalls.cycles, plain.cycles);
+    EXPECT_LT(plain.cycles, 1000u);
+  }
+}
+
+// simulate() over a prepared workload; max_cycles and observation vary.
+SimStats time_prepared(const WorkloadExperiment::PreparedView& view,
+                       const MachineConfig& machine, std::uint64_t max_cycles,
+                       SimObservation* observation) {
+  return simulate({.program = view.program,
+                   .ext_table = view.table,
+                   .trace = view.trace,
+                   .machine = machine,
+                   .max_cycles = max_cycles,
+                   .observation = observation});
+}
+
+// Plain runs jump over quiet cycles; observed runs step through every one.
+// The jump is clamped so the cycle bound fires exactly where stepping
+// fires it: with C the plain run's cycle count (its last cycle is C - 1),
+// a bound of C - 1 admits the run and C - 2 trips it, observed and plain
+// alike. The thrashing machine (2 PFUs, 100-cycle reconfiguration) has
+// the longest quiet stretches.
+TEST(Timing, CycleBoundFiresOnTheSameCycleWithAndWithoutTheJump) {
+  MachineConfig mispredicting = pfu_machine(2, 10);
+  mispredicting.branch.kind = BranchPredictorKind::kBimodal;
+  mispredicting.max_outstanding_misses = 2;
+  const RunSpec cases[] = {
+      baseline_spec("gsm_dec"),
+      greedy_spec("gsm_enc", "thrash", 2, 100),
+      greedy_spec("g721_dec", "thrash", 2, 100),
+      [&] {
+        RunSpec spec = selective_spec("g721_enc", "bimodal", 2, 10);
+        spec.machine = mispredicting;
+        return spec;
+      }(),
+  };
+  const auto expect_bound_exceeded = [](const auto& run,
+                                        const std::string& tag) {
+    try {
+      run();
+      ADD_FAILURE() << tag << ": no cycle bound";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("cycle bound exceeded"),
+                std::string::npos)
+          << tag << ": " << e.what();
+    }
+  };
+  for (const RunSpec& spec : cases) {
+    const Workload* w = find_workload(spec.workload);
+    ASSERT_NE(w, nullptr) << spec.workload;
+    WorkloadExperiment exp(*w);
+    const WorkloadExperiment::PreparedView view = exp.prepared(spec);
+    ASSERT_NE(view.trace, nullptr);
+    const std::string tag = spec.workload + " / " + spec.label;
+
+    const SimStats plain =
+        time_prepared(view, spec.machine, spec.max_cycles, nullptr);
+    const std::uint64_t c = plain.cycles;
+    ASSERT_GT(c, 2u) << tag;
+    const SimStats bounded =
+        time_prepared(view, spec.machine, c - 1, nullptr);
+    EXPECT_EQ(bounded.cycles, c) << tag;
+    EXPECT_EQ(bounded.committed, plain.committed) << tag;
+    SimObservation obs;
+    EXPECT_EQ(time_prepared(view, spec.machine, c - 1, &obs).cycles, c)
+        << tag;
+    EXPECT_EQ(obs.stalls.cycles, c) << tag;
+
+    expect_bound_exceeded(
+        [&] { time_prepared(view, spec.machine, c - 2, nullptr); },
+        tag + " plain");
+    SimObservation tripped;
+    expect_bound_exceeded(
+        [&] { time_prepared(view, spec.machine, c - 2, &tripped); },
+        tag + " observed");
+  }
 }
 
 }  // namespace
