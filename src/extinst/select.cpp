@@ -6,6 +6,7 @@
 #include <string>
 
 #include "hwcost/lut_model.hpp"
+#include "sim/executor.hpp"
 
 namespace t1000 {
 namespace {
@@ -106,6 +107,31 @@ bool exceeds_time_threshold(std::uint64_t seq_cycles,
   return static_cast<double>(seq_cycles) /
              static_cast<double>(total_cycles) >
          threshold;
+}
+
+void validate(const SelectPolicy& policy) {
+  using P = SelectPolicy;
+  const auto check = [](const std::string& field, long long value,
+                        long long min, long long max) {
+    if (value < min || value > max) {
+      throw SimError("select policy: " + field + " = " +
+                     std::to_string(value) + " is outside [" +
+                     std::to_string(min) + ", " + std::to_string(max) + "]");
+    }
+  };
+  check("num_pfus", policy.num_pfus, kUnlimitedPfus, P::kMaxPfus);
+  if (!(policy.time_threshold >= 0.0 && policy.time_threshold <= 1.0)) {
+    throw SimError("select policy: time_threshold = " +
+                   std::to_string(policy.time_threshold) +
+                   " is outside [0, 1]");
+  }
+  check("lut_budget", policy.lut_budget, 0, P::kMaxLutBudget);
+  const ExtractPolicy& e = policy.extract;
+  check("extract.max_width", e.max_width, 1, 32);
+  check("extract.min_length", e.min_length, 2, kMaxUops);
+  check("extract.max_length", e.max_length, e.min_length, kMaxUops);
+  check("extract.max_inputs", e.max_inputs, 1, kMaxExtInputs);
+  check("extract.max_outputs", e.max_outputs, 1, kMaxExtOutputs);
 }
 
 Selection select_selective(const AnalyzedProgram& ap,

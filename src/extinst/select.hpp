@@ -41,7 +41,25 @@ struct SelectPolicy {
   // sequences (no common-subsequence windows from the k x k matrix).
   bool use_subsequence_matrix = true;
   ExtractPolicy extract;
+
+  // Upper bounds validate() enforces (generous: the paper's machines have
+  // at most a handful of PFUs and budgets of a few hundred LUTs).
+  static constexpr int kMaxPfus = 4096;
+  static constexpr int kMaxLutBudget = 1 << 20;
 };
+
+// Throws SimError naming the first field outside its bound:
+//   num_pfus               kUnlimitedPfus or [0, kMaxPfus]
+//   time_threshold         [0, 1]
+//   lut_budget             [0, kMaxLutBudget]
+//   extract.max_width      [1, 32] bits
+//   extract.min_length     [2, kMaxUops]
+//   extract.max_length     [extract.min_length, kMaxUops]
+//   extract.max_inputs     [1, kMaxExtInputs]
+//   extract.max_outputs    [1, kMaxExtOutputs]
+// Selection and extraction assume these hold; outside them a run fails
+// deep in the analysis or allocates from a negative size.
+void validate(const SelectPolicy& policy);
 
 struct Selection {
   ExtInstTable table;              // distinct configurations (Conf ids)

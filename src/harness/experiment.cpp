@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <chrono>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -181,6 +180,9 @@ WorkloadExperiment::build_prepared(const RunSpec& spec) const {
 
 const WorkloadExperiment::PreparedRun& WorkloadExperiment::prepared_run(
     const RunSpec& spec) const {
+  // Every entry point (run, prepared, verify) comes through here, so a bad
+  // policy fails before any analysis or selection work.
+  validate(spec.policy);
   std::shared_ptr<PreparedSlot> slot;
   {
     std::lock_guard<std::mutex> lock(prep_mu_);
@@ -276,71 +278,6 @@ RunOutcome WorkloadExperiment::run(const RunSpec& spec) const {
                           .trace = &prep.trace,
                           .machine = spec.machine,
                           .max_cycles = spec.max_cycles});
-  }
-  return out;
-}
-
-std::vector<WorkloadExperiment::BatchRunOutcome> WorkloadExperiment::run_batch(
-    const std::vector<RunSpec>& specs) const {
-  std::vector<BatchRunOutcome> out(specs.size());
-  if (specs.empty()) return out;
-  const RunSpec& first = specs.front();
-  for (const RunSpec& spec : specs) {
-    if (RunIdentity::batch_key(spec) != RunIdentity::batch_key(first)) {
-      throw std::invalid_argument(
-          "run_batch: specs do not share a batch identity (see "
-          "RunIdentity::batch_key)");
-    }
-  }
-  // One prepared_run call per spec, exactly as N sequential run() calls
-  // would make: the first may record the trace, the rest count as reuses,
-  // keeping the trace counters identical across the two paths.
-  const PreparedRun& prep = prepared_run(first);
-  for (std::size_t i = 1; i < specs.size(); ++i) prepared_run(specs[i]);
-  if (first.verify) {
-    const VerifyReport& report = verify(first);
-    if (!report.ok()) {
-      // Verification is a property of the shared preparation: every lane
-      // fails identically, as N sequential runs would.
-      const std::string what =
-          workload_.name + " (" + std::string(selector_name(first.selector)) +
-          ") failed verification: " + report.summary();
-      for (BatchRunOutcome& o : out) {
-        o.error = std::make_exception_ptr(VerifyError(what));
-      }
-      return out;
-    }
-  }
-  const Program& program = prep.rewritten ? prep.rewrite.program : program_;
-  const ExtInstTable* table = prep.rewritten ? &prep.selection.table : nullptr;
-
-  BatchSimRequest request;
-  request.program = &program;
-  request.ext_table = table;
-  request.trace = &prep.trace;
-  request.lanes.resize(specs.size());
-  std::vector<SimObservation> observations(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    request.lanes[i].machine = specs[i].machine;
-    request.lanes[i].max_cycles = specs[i].max_cycles;
-    if (specs[i].observe) request.lanes[i].observation = &observations[i];
-  }
-  std::vector<BatchLaneResult> lanes;
-  {
-    const PhaseTimer phase(obs_, "replay");
-    lanes = simulate_replay_batch(request);
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (lanes[i].error) {
-      out[i].error = lanes[i].error;
-      continue;
-    }
-    out[i].outcome = prep.partial;
-    out[i].outcome.stats = lanes[i].stats;
-    if (specs[i].observe) {
-      out[i].outcome.observed = true;
-      out[i].outcome.stalls = observations[i].stalls;
-    }
   }
   return out;
 }

@@ -137,7 +137,8 @@ class WorkloadExperiment {
   // `spec.policy.num_pfus` should match spec.machine.pfu.count (the
   // selection must know the budget it is compiling for); the
   // selective_spec() factory keeps the two in sync. Throws SimError if a
-  // rewritten program's checksum diverges from the baseline.
+  // rewritten program's checksum diverges from the baseline, or (before
+  // any work) if spec.policy fails validate(SelectPolicy).
   //
   // Timing runs replay the committed trace shared by every spec with the
   // same (selector, policy): functional execution — and for rewritten
@@ -147,22 +148,6 @@ class WorkloadExperiment {
   // const; internal memoization is mutex/once-guarded: concurrent run()
   // calls on one experiment are safe, which the grid engine relies on.
   RunOutcome run(const RunSpec& spec) const;
-
-  // Config-parallel batched execution: times every spec as one lane of a
-  // single simulate_replay_batch sweep over the shared prepared trace.
-  // Every spec must share one batch identity (RunIdentity::batch_key —
-  // same selector/policy/verify; machine, max_cycles, and observe vary
-  // per lane); throws std::invalid_argument otherwise. Lane outcomes are
-  // byte-identical to N sequential run() calls. Failures are per-lane:
-  // a lane that throws (cycle bound, failed verification) carries its
-  // exception in `error` while the other lanes complete — the grid's
-  // fault isolation passes through unchanged.
-  struct BatchRunOutcome {
-    RunOutcome outcome;        // valid when !error
-    std::exception_ptr error;  // null on success
-  };
-  std::vector<BatchRunOutcome> run_batch(
-      const std::vector<RunSpec>& specs) const;
 
   // The shared immutable inputs `spec`'s timing run replays: the (possibly
   // rewritten) program, its EXT table (null when the program has none),

@@ -168,8 +168,6 @@ Json GridResult::to_json() const {
   engine["cache_size_evicted"] = Json(engine_.cache.size_evicted);
   engine["traces_recorded"] = Json(engine_.traces_recorded);
   engine["trace_replays"] = Json(engine_.trace_replays);
-  engine["batches"] = Json(engine_.batches);
-  engine["batched_runs"] = Json(engine_.batched_runs);
   engine["observed"] = Json(engine_.observed);
   if (engine_.observed > 0) engine["stalls"] = t1000::to_json(engine_.stalls);
   engine["verified_preps"] = Json(engine_.verified_preps);
@@ -223,11 +221,6 @@ std::string GridResult::engine_summary() const {
   out += strprintf("; traces: %llu recorded, %llu replayed",
                    static_cast<ull>(engine_.traces_recorded),
                    static_cast<ull>(engine_.trace_replays));
-  if (engine_.batches > 0) {
-    out += strprintf("; batches: %llu (%llu lane(s))",
-                     static_cast<ull>(engine_.batches),
-                     static_cast<ull>(engine_.batched_runs));
-  }
   if (engine_.verified_preps > 0) {
     out += strprintf("; verify: %llu preparation(s) in %.1f ms",
                      static_cast<ull>(engine_.verified_preps),
@@ -331,8 +324,8 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   }
 
   // Journal emission helpers: cache operations become timed instants (the
-  // "cache" phase), runs and batches become spans the experiment's phase
-  // spans parent under. All of it no-ops without a journal + active trace.
+  // "cache" phase), runs become spans the experiment's phase spans parent
+  // under. All of it no-ops without a journal + active trace.
   obs::Journal* const journal = options.journal;
   const auto cache_lookup = [&](ResultCache& c, const CacheKey& key,
                                 RunOutcome* outcome) {
@@ -369,25 +362,19 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     return attrs;
   };
 
-  // The scheduling unit is a group of spec indices. Without batching every
-  // group is a singleton and the engine behaves exactly as it always has;
-  // with batching, specs sharing a batch identity (RunIdentity::batch_key)
-  // form one group whose cache misses are timed as lanes of a single
-  // simulate_replay_batch sweep. Grouping is greedy in insertion order, so
-  // results stay deterministic regardless of jobs or batching.
-  const bool batching = options.batch && options.run_budget_ms <= 0;
+  // The scheduling unit is the specs that share a preparation
+  // (RunIdentity::batch_key), grouped greedily in insertion order. A
+  // worker takes a whole unit and runs its specs one after another, so the
+  // first builds the preparation and the rest replay its trace, instead of
+  // several workers blocking in call_once on one build. A twin spec hits
+  // the cache entry its predecessor stored. Grouping only schedules:
+  // results are the same for any grouping and any number of jobs.
   std::vector<std::vector<std::size_t>> groups;
   {
     std::map<std::string, std::size_t> group_of;
     for (std::size_t i = 0; i < specs_.size(); ++i) {
-      if (!batching) {
-        groups.push_back({i});
-        continue;
-      }
-      RunSpec spec = specs_[i];
-      if (options.verify) spec.verify = true;  // verify is part of the key
       const auto [it, fresh] =
-          group_of.emplace(RunIdentity::batch_key(spec), groups.size());
+          group_of.emplace(RunIdentity::batch_key(specs_[i]), groups.size());
       if (fresh) groups.emplace_back();
       groups[it->second].push_back(i);
     }
@@ -397,8 +384,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};
   std::atomic<std::uint64_t> failures{0};
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> batched_runs{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
 
@@ -426,6 +411,76 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     }
   };
 
+  // One spec, start to finish: abort check, fault hook, cache lookup, and
+  // on a miss the run itself under a "run" span, then the cache store and
+  // the budget check.
+  const auto run_spec = [&](std::size_t i) {
+    RunResult& out = results[i];
+    out.spec = specs_[i];
+    // Stamp before the cache key is built: verified (or observed) runs
+    // must not share entries with unverified (or unobserved) ones.
+    if (options.verify) out.spec.verify = true;
+    if (options.observe) out.spec.observe = true;
+    if (abort.load(std::memory_order_relaxed)) {
+      out.status = RunStatus::kSkipped;
+      out.error = options.strict
+                      ? "skipped: an earlier run failed in strict mode"
+                      : "skipped: the grid's fail limit was reached";
+      return;
+    }
+    const auto run_start = std::chrono::steady_clock::now();
+    try {
+      if (options.fault_hook) options.fault_hook(out.spec);
+      {
+        const auto scope = metrics.run_wall != nullptr
+                               ? std::make_unique<obs::Span::Scope>(
+                                     metrics.run_wall)
+                               : nullptr;
+        WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
+        const CacheKey key = make_cache_key(
+            out.spec, slot.program_hash_for(), slot.workload->max_steps);
+        if (cache_lookup(cache, key, &out.outcome)) {
+          out.cache_hit = true;
+        } else {
+          obs::Journal::SpanScope run_span(journal,
+                                           obs::current_trace_context(), "run",
+                                           run_attrs(out.spec));
+          const obs::ScopedTraceContext run_scope(run_span.context());
+          out.outcome = slot.experiment_for().run(out.spec);
+          cache_store(cache, key, out.outcome);
+        }
+      }
+      if (metrics.runs != nullptr) {
+        metrics.runs->add(1);
+        if (out.cache_hit) metrics.cache_hits->add(1);
+        else metrics.simulated->add(1);
+      }
+      out.wall_ms = ms_since(run_start);
+      if (metrics.run_wall_ms != nullptr) {
+        metrics.run_wall_ms->observe(static_cast<std::uint64_t>(out.wall_ms));
+      }
+      if (options.run_budget_ms > 0 && out.wall_ms > options.run_budget_ms) {
+        const std::string msg =
+            strprintf("run exceeded wall-clock budget: %.1f ms > %.1f ms",
+                      out.wall_ms, options.run_budget_ms);
+        record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone, msg,
+                       std::make_exception_ptr(GridTimeoutError(msg)));
+      } else {
+        out.status = RunStatus::kOk;
+      }
+    } catch (const GridTimeoutError& e) {
+      out.wall_ms = ms_since(run_start);
+      record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone, e.what(),
+                     std::current_exception());
+    } catch (...) {
+      out.wall_ms = ms_since(run_start);
+      std::string message;
+      const RunErrorKind kind = classify_current_exception(&message);
+      record_failure(out, RunStatus::kError, kind, std::move(message),
+                     std::current_exception());
+    }
+  };
+
   const auto worker = [&] {
     // The grid's trace crosses the thread boundary here: each worker
     // installs it so every emission below (and the experiment phases
@@ -434,232 +489,7 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     for (;;) {
       const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
       if (g >= groups.size()) return;
-      const std::vector<std::size_t>& group = groups[g];
-      // Stage 1: per-run pre-flight — flag stamping, abort check, fault
-      // hook, cache lookup — and, for singleton groups, the run itself:
-      // the historical per-spec path, verbatim. Multi-spec groups only
-      // defer the simulation of their cache misses to stage 2.
-      std::vector<std::size_t> misses;
-      std::vector<CacheKey> miss_keys;
-      // Specs whose key duplicates an earlier miss in this group: served
-      // from the cache after the batch stores, reproducing the sequential
-      // path's dedup (one simulation, one memory hit) and its counters.
-      std::vector<std::size_t> duplicates;
-      std::vector<CacheKey> duplicate_keys;
-      for (const std::size_t i : group) {
-        RunResult& out = results[i];
-        out.spec = specs_[i];
-        // Stamp before the cache key is built: verified (or observed) runs
-        // must not share entries with unverified (or unobserved) ones.
-        if (options.verify) out.spec.verify = true;
-        if (options.observe) out.spec.observe = true;
-        if (abort.load(std::memory_order_relaxed)) {
-          out.status = RunStatus::kSkipped;
-          out.error = options.strict
-                          ? "skipped: an earlier run failed in strict mode"
-                          : "skipped: the grid's fail limit was reached";
-          continue;
-        }
-        const auto run_start = std::chrono::steady_clock::now();
-        try {
-          if (options.fault_hook) options.fault_hook(out.spec);
-          bool deferred = false;
-          {
-            const auto scope = metrics.run_wall != nullptr
-                                   ? std::make_unique<obs::Span::Scope>(
-                                         metrics.run_wall)
-                                   : nullptr;
-            WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
-            const CacheKey key = make_cache_key(
-                out.spec, slot.program_hash_for(), slot.workload->max_steps);
-            bool dup = false;
-            for (const CacheKey& seen : miss_keys) {
-              if (seen.text == key.text) {
-                dup = true;
-                break;
-              }
-            }
-            if (dup) {
-              // Looking it up now would count a spurious miss; sequentially
-              // it would have hit the entry its twin already stored.
-              duplicates.push_back(i);
-              duplicate_keys.push_back(key);
-              deferred = true;
-            } else if (cache_lookup(cache, key, &out.outcome)) {
-              out.cache_hit = true;
-            } else if (group.size() > 1) {
-              misses.push_back(i);
-              miss_keys.push_back(key);
-              deferred = true;
-            } else {
-              obs::Journal::SpanScope run_span(journal,
-                                               obs::current_trace_context(),
-                                               "run", run_attrs(out.spec));
-              const obs::ScopedTraceContext run_scope(run_span.context());
-              out.outcome = slot.experiment_for().run(out.spec);
-              cache_store(cache, key, out.outcome);
-            }
-          }
-          if (deferred) continue;
-          if (metrics.runs != nullptr) {
-            metrics.runs->add(1);
-            if (out.cache_hit) metrics.cache_hits->add(1);
-            else metrics.simulated->add(1);
-          }
-          out.wall_ms = ms_since(run_start);
-          if (metrics.run_wall_ms != nullptr) {
-            metrics.run_wall_ms->observe(
-                static_cast<std::uint64_t>(out.wall_ms));
-          }
-          if (options.run_budget_ms > 0 &&
-              out.wall_ms > options.run_budget_ms) {
-            const std::string msg =
-                strprintf("run exceeded wall-clock budget: %.1f ms > %.1f ms",
-                          out.wall_ms, options.run_budget_ms);
-            record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone, msg,
-                           std::make_exception_ptr(GridTimeoutError(msg)));
-          } else {
-            out.status = RunStatus::kOk;
-          }
-        } catch (const GridTimeoutError& e) {
-          out.wall_ms = ms_since(run_start);
-          record_failure(out, RunStatus::kTimeout, RunErrorKind::kNone,
-                         e.what(), std::current_exception());
-        } catch (...) {
-          out.wall_ms = ms_since(run_start);
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          record_failure(out, RunStatus::kError, kind, std::move(message),
-                         std::current_exception());
-        }
-      }
-      if (!misses.empty()) {
-        // Stage 2: one config-parallel sweep over the group's cache misses.
-        // Lane outcomes are byte-identical to sequential runs (pinned by
-        // tests); lane failures surface per run, exactly as before.
-        const auto batch_start = std::chrono::steady_clock::now();
-        std::vector<RunSpec> lane_specs;
-        lane_specs.reserve(misses.size());
-        for (const std::size_t i : misses) {
-          lane_specs.push_back(results[i].spec);
-        }
-        std::vector<WorkloadExperiment::BatchRunOutcome> lanes;
-        bool batch_ok = true;
-        try {
-          const auto scope =
-              metrics.run_wall != nullptr
-                  ? std::make_unique<obs::Span::Scope>(metrics.run_wall)
-                  : nullptr;
-          Json batch_attrs = run_attrs(lane_specs.front());
-          batch_attrs["lanes"] = Json(misses.size());
-          obs::Journal::SpanScope batch_span(journal,
-                                             obs::current_trace_context(),
-                                             "batch", std::move(batch_attrs));
-          const obs::ScopedTraceContext batch_scope(batch_span.context());
-          WorkloadSlot& slot =
-              slots[index_.find(lane_specs.front().workload)->second];
-          lanes = slot.experiment_for().run_batch(lane_specs);
-        } catch (...) {
-          // Whole-sweep failure (experiment construction, trace recording):
-          // every lane fails identically, as N sequential runs would have.
-          batch_ok = false;
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          const std::exception_ptr error = std::current_exception();
-          const double per_run_ms = ms_since(batch_start) /
-                                    static_cast<double>(misses.size());
-          for (const std::size_t i : misses) {
-            results[i].wall_ms = per_run_ms;
-            record_failure(results[i], RunStatus::kError, kind, message,
-                           error);
-          }
-        }
-        if (batch_ok) {
-          batches.fetch_add(1, std::memory_order_relaxed);
-          batched_runs.fetch_add(misses.size(), std::memory_order_relaxed);
-          // The sweep's wall-clock is shared work; attribute it evenly so
-          // per-run timings stay comparable across the two paths.
-          const double per_run_ms =
-              ms_since(batch_start) / static_cast<double>(misses.size());
-          for (std::size_t k = 0; k < misses.size(); ++k) {
-            RunResult& out = results[misses[k]];
-            out.wall_ms = per_run_ms;
-            if (lanes[k].error) {
-              try {
-                std::rethrow_exception(lanes[k].error);
-              } catch (...) {
-                std::string message;
-                const RunErrorKind kind = classify_current_exception(&message);
-                record_failure(out, RunStatus::kError, kind,
-                               std::move(message), lanes[k].error);
-              }
-              continue;
-            }
-            out.outcome = lanes[k].outcome;
-            cache_store(cache, miss_keys[k], out.outcome);
-            if (metrics.runs != nullptr) {
-              metrics.runs->add(1);
-              metrics.simulated->add(1);
-            }
-            if (metrics.run_wall_ms != nullptr) {
-              metrics.run_wall_ms->observe(
-                  static_cast<std::uint64_t>(out.wall_ms));
-            }
-            out.status = RunStatus::kOk;
-          }
-        }
-      }
-      // Duplicates ride on the entry their twin stored; when the twin's
-      // lane failed, the retry lookup misses and the run executes alone,
-      // exactly as the sequential path would have.
-      for (std::size_t k = 0; k < duplicates.size(); ++k) {
-        RunResult& out = results[duplicates[k]];
-        if (abort.load(std::memory_order_relaxed)) {
-          out.status = RunStatus::kSkipped;
-          out.error = options.strict
-                          ? "skipped: an earlier run failed in strict mode"
-                          : "skipped: the grid's fail limit was reached";
-          continue;
-        }
-        const auto run_start = std::chrono::steady_clock::now();
-        try {
-          {
-            const auto scope = metrics.run_wall != nullptr
-                                   ? std::make_unique<obs::Span::Scope>(
-                                         metrics.run_wall)
-                                   : nullptr;
-            if (cache_lookup(cache, duplicate_keys[k], &out.outcome)) {
-              out.cache_hit = true;
-            } else {
-              obs::Journal::SpanScope run_span(journal,
-                                               obs::current_trace_context(),
-                                               "run", run_attrs(out.spec));
-              const obs::ScopedTraceContext run_scope(run_span.context());
-              WorkloadSlot& slot =
-                  slots[index_.find(out.spec.workload)->second];
-              out.outcome = slot.experiment_for().run(out.spec);
-              cache_store(cache, duplicate_keys[k], out.outcome);
-            }
-          }
-          if (metrics.runs != nullptr) {
-            metrics.runs->add(1);
-            if (out.cache_hit) metrics.cache_hits->add(1);
-            else metrics.simulated->add(1);
-          }
-          out.wall_ms = ms_since(run_start);
-          if (metrics.run_wall_ms != nullptr) {
-            metrics.run_wall_ms->observe(
-                static_cast<std::uint64_t>(out.wall_ms));
-          }
-          out.status = RunStatus::kOk;
-        } catch (...) {
-          out.wall_ms = ms_since(run_start);
-          std::string message;
-          const RunErrorKind kind = classify_current_exception(&message);
-          record_failure(out, RunStatus::kError, kind, std::move(message),
-                         std::current_exception());
-        }
-      }
+      for (const std::size_t i : groups[g]) run_spec(i);
     }
   };
 
@@ -690,8 +520,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   }
   engine.cache = cache.counters().since(cache_baseline);
   engine.simulated = engine.cache.misses;
-  engine.batches = batches.load(std::memory_order_relaxed);
-  engine.batched_runs = batched_runs.load(std::memory_order_relaxed);
   for (const WorkloadSlot& slot : slots) {
     if (!slot.experiment) continue;
     const WorkloadExperiment::TraceCounters tc =
@@ -729,7 +557,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
   }
   double run_budget_ms = 0.0;
   bool no_cache = false;
-  bool no_batch = false;
   OptionParser parser(name, summary);
   parser.add_int("--jobs", "N", "worker threads (default: all hardware threads)",
                  &jobs, 0, kMaxJobs);
@@ -745,10 +572,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
                  "entries are evicted to fit (default: "
                  "$T1000_CACHE_BUDGET_BYTES or unbounded)",
                  &cache_budget, 0, std::numeric_limits<long>::max());
-  parser.add_flag("--no-batch",
-                  "time each run as an independent replay instead of batching "
-                  "runs that share a prepared trace (results are identical)",
-                  &no_batch);
   parser.add_flag("--verify",
                   "statically verify every selection/rewrite before "
                   "simulating it (failures are recorded as verify errors)",
@@ -764,7 +587,7 @@ BenchOptions parse_bench_options(int argc, char** argv,
   long journal_max_bytes = 64l << 20;
   parser.add_string("--journal-out", "FILE",
                     "append-only JSONL event journal of the grid's "
-                    "run/batch/cache/phase spans (one JSON object per line)",
+                    "run/cache/phase spans (one JSON object per line)",
                     &out.journal_path);
   parser.add_int("--journal-max-bytes", "N",
                  "rotate the journal to FILE.1 past this size (default: "
@@ -787,7 +610,6 @@ BenchOptions parse_bench_options(int argc, char** argv,
 
   out.grid.jobs = static_cast<int>(jobs);
   out.grid.run_budget_ms = run_budget_ms;
-  out.grid.batch = !no_batch;
   out.grid.cache_budget_bytes = static_cast<std::uint64_t>(cache_budget);
   if (no_cache) out.grid.cache_dir.clear();
   if (!out.metrics_path.empty()) {

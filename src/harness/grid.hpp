@@ -120,16 +120,6 @@ struct GridOptions {
   // (RunOutcome::stalls) and the engine aggregates a grid-level breakdown
   // (EngineStats::stalls). Part of the cache identity, like verify.
   bool observe = false;
-  // Config-parallel batched replay (--no-batch disables): cache-missing
-  // specs that share a batch identity (RunIdentity::batch_key — same
-  // workload, selector, policy, and verify flag; the lane-grouping rule)
-  // are timed as lanes of one simulate_replay_batch sweep instead of N
-  // sequential replays. Per-run status, cache entries, fault isolation,
-  // and observe/verify semantics are unchanged, and the results are
-  // byte-identical to the sequential path (pinned by tests). Forced off
-  // when run_budget_ms > 0: a per-run wall-clock budget needs per-run
-  // execution.
-  bool batch = true;
   // Optional harness metrics sink (obs/metrics.hpp): when set, the engine
   // records its scheduling/caching counters and per-run wall-clock into it
   // ("grid.*" instruments). Borrowed, never owned; must outlive run().
@@ -138,7 +128,7 @@ struct GridOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Optional event journal (obs/journal.hpp): when set together with an
   // active `trace`, every worker installs the trace as its thread-local
-  // context and emits run/batch spans and cache.lookup/cache.store
+  // context and emits run spans and cache.lookup/cache.store
   // instants into the journal — and the experiment's phase spans
   // (decode/record/replay/verify) parent under the enclosing run span.
   // Borrowed, never owned; must outlive run(). A null journal or an
@@ -182,11 +172,6 @@ struct EngineStats {
   // by replaying an already-recorded trace.
   std::uint64_t traces_recorded = 0;
   std::uint64_t trace_replays = 0;
-  // Config-parallel batching: sweeps dispatched (>= 2 cache misses sharing
-  // a prepared trace, timed in one batched replay) and the runs that were
-  // timed as lanes of one.
-  std::uint64_t batches = 0;
-  std::uint64_t batched_runs = 0;
   // Grid-level stall attribution: how many ok runs carried a breakdown
   // (RunSpec::observe), and their element-wise sum.
   std::uint64_t observed = 0;
@@ -283,7 +268,7 @@ struct BenchOptions {
   std::string metrics_path;
   std::shared_ptr<obs::MetricsRegistry> metrics;
   // --journal-out <path>: append-only JSONL event journal of the grid's
-  // run/batch/cache/phase spans (obs/journal.hpp). Created by
+  // run/cache/phase spans (obs/journal.hpp). Created by
   // parse_bench_options with a fresh root trace and wired into
   // grid.journal/grid.trace; empty path = no journal.
   std::string journal_path;

@@ -414,6 +414,13 @@ SelectPolicy select_policy_from_json(const Json& j) {
   if (const Json* v = j.find("extract")) {
     p.extract = extract_policy_from_json(*v);
   }
+  // As for machines: an unusable policy is a parse error, so a request
+  // carrying one is rejected before it is admitted.
+  try {
+    validate(p);
+  } catch (const SimError& e) {
+    throw JsonError(e.what());
+  }
   return p;
 }
 

@@ -57,6 +57,8 @@ PfuConfig pfu_config_from_json(const Json& j);
 BranchPredictorConfig branch_predictor_config_from_json(const Json& j);
 MachineConfig machine_config_from_json(const Json& j);
 ExtractPolicy extract_policy_from_json(const Json& j);
+// Also runs validate(SelectPolicy), extract policy included; a field
+// outside its bound is a JsonError naming it.
 SelectPolicy select_policy_from_json(const Json& j);
 // Rebuilds a RunSpec from the to_json(RunSpec) shape: workload (required),
 // label, selector, machine, policy, max_cycles, verify, observe. Throws

@@ -104,8 +104,6 @@ SimService::ParsedRequest SimService::parse_request(
         parsed.options.verify = value.as_bool();
       } else if (name == "observe") {
         parsed.options.observe = value.as_bool();
-      } else if (name == "batch") {
-        parsed.options.batch = value.as_bool();
       } else if (name == "run_budget_ms") {
         const double ms = value.as_double();
         if (ms < 0) throw JsonError("run_budget_ms must be >= 0");

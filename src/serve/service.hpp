@@ -51,14 +51,14 @@
 // Tracing: every job gets a trace id (minted from the journal) at
 // submission. The runner wraps the job's grid in a "job" span and threads
 // the context into the grid via GridOptions.trace/journal, so the grid's
-// run/batch/cache events and the experiment's phase spans all land in the
+// run spans, cache events and the experiment's phase spans all land in the
 // job's trace — streamable live at /v1/jobs/<id>/events and, when the
 // daemon was started with --journal-out, on disk as JSONL.
 //
 // A grid request is:
 //   {"runs": [<RunSpec JSON, as serialized by to_json(RunSpec)>...],
-//    "options": {"verify": b, "observe": b, "batch": b,
-//                "run_budget_ms": ms, "fail_limit": n}}
+//    "options": {"verify": b, "observe": b, "run_budget_ms": ms,
+//                "fail_limit": n}}
 // Every member of "options" is optional; unknown members anywhere are a
 // 400, and per-request budgets are clamped to the service's configured
 // maximum so one client cannot opt out of the operator's limits.

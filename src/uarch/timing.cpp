@@ -114,6 +114,11 @@ class RecordingObserver final : public PfuListener {
   void charge(StallCause cause) {
     ++out_->stalls.causes[static_cast<int>(cause)];
   }
+  // `n` quiet (non-committing) cycles, all charged to `cause`.
+  void charge_quiet(StallCause cause, std::uint64_t n) {
+    out_->stalls.cycles += n;
+    out_->stalls.causes[static_cast<int>(cause)] += n;
+  }
 
   // The two writers of fetch_stall_until_, distinguished so an empty-window
   // fetch stall can be charged to the right cause.
@@ -248,9 +253,9 @@ class Pipeline {
   //
   // A cycle in which no stage changed state is quiet: the next cycle sees
   // the same machine, so every cycle up to the first one at which some
-  // stage can act (next_active_cycle) is quiet too. Unobserved runs jump
-  // straight there; observed runs step every cycle, because attribution
-  // charges a stall cause to each one. Both yield the same SimStats.
+  // stage can act (next_active_cycle) is quiet too, and the run jumps
+  // straight there. Observed runs charge the skipped cycles in bulk
+  // (charge_quiet_stretch), so they jump too.
   SimStats run() {
     while (!source_.halted() || fq_head_ != fq_tail_ || head_ != tail_) {
       if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
@@ -265,10 +270,13 @@ class Pipeline {
         // charged to exactly one cause (the invariant commit_cycles +
         // sum(causes) == cycles is pinned by tests).
         obs_.on_cycle(commits);
-        if (commits == 0) obs_.charge(classify_stall());
-      } else if (commits == 0 && !issued && !resolved && !dispatched &&
-                 !fetched) {
-        now_ = std::max(now_ + 1, next_active_cycle(min_wake));
+        if (commits == 0) obs_.charge(classify_stall(now_));
+      }
+      if (commits == 0 && !issued && !resolved && !dispatched && !fetched) {
+        const std::uint64_t next =
+            std::max(now_ + 1, next_active_cycle(min_wake));
+        if constexpr (Obs::kEnabled) charge_quiet_stretch(now_ + 1, next);
+        now_ = next;
         continue;
       }
       ++now_;
@@ -630,14 +638,14 @@ class Pipeline {
 
   // --- stall-cause classification (observed runs only) ---
   //
-  // Called at end of a cycle that committed nothing; charges the cycle to
+  // Called at end of a cycle that committed nothing (or for a cycle of a
+  // quiet stretch, see charge_quiet_stretch); charges the cycle to
   // exactly one cause. Commit is in-order, so when the window is non-empty
   // the head entry is what blocks the machine; head-specific causes are
   // tested before the window-shape ones so e.g. a reconfiguration wait is
   // never masked as "window full". With an empty window the front end is
   // responsible.
-  StallCause classify_stall() {
-    const std::uint64_t now = now_;
+  StallCause classify_stall(std::uint64_t now) {
     if (head_ != tail_) {
       RuuEntry& e = entry(head_);
       if (!e.issued) {
@@ -683,6 +691,28 @@ class Pipeline {
                                           : StallCause::kFetchMem;
     }
     return StallCause::kFrontend;
+  }
+
+  // Charges the skipped quiet cycles [from, to) of a jump. The machine is
+  // unchanged over them, so classify_stall() gives every one the cause it
+  // gives `from`, but for one test. The jump target is bounded by each
+  // event that can flip the others: the head's completion or PFU
+  // readiness, and the end of a fetch stall. An unissued head's operands
+  // and older stores are all committed, and a head blocked on an FU, port
+  // or MSHR forbids the jump. The exception is an empty window whose
+  // fetch-queue head waits on its line: it turns from fetch_mem to
+  // frontend at ready_cycle - 1 ("ready next cycle"), one cycle before
+  // the ready_cycle that bounds the jump.
+  void charge_quiet_stretch(std::uint64_t from, std::uint64_t to) {
+    std::uint64_t flip = to;
+    if (head_ == tail_ && fq_head_ != fq_tail_) {
+      const std::uint64_t ready =
+          fetch_ring_[static_cast<std::size_t>(fq_head_) & fetch_mask_]
+              .ready_cycle;
+      flip = std::clamp(ready - 1, from, to);
+    }
+    if (from < flip) obs_.charge_quiet(classify_stall(from), flip - from);
+    if (flip < to) obs_.charge_quiet(classify_stall(flip), to - flip);
   }
 
   void collect() {

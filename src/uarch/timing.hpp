@@ -186,7 +186,8 @@ SimStats simulate(const SimRequest& request);
 // an independent pipeline (its own caches, TLBs, predictor, PFU bank,
 // RUU) replayed to completion through the same path as simulate(), so
 // lane results are byte-identical to N sequential simulate() replay calls,
-// which the batch differential tests pin.
+// which the batch differential tests pin. The grid times its runs one at
+// a time; the benchmark's traced grid replica times lanes.
 struct BatchSimRequest {
   const Program* program = nullptr;        // required
   const ExtInstTable* ext_table = nullptr; // may be null
@@ -203,8 +204,7 @@ struct BatchSimRequest {
 
 // One lane's outcome. Lanes fail independently: a lane that exceeds its
 // cycle bound (or otherwise throws) carries the exception here while the
-// other lanes complete normally — the grid's per-run fault isolation
-// passes straight through the batch.
+// other lanes complete normally.
 struct BatchLaneResult {
   SimStats stats;            // valid when !error
   std::exception_ptr error;  // null on success

@@ -162,10 +162,11 @@ TEST(CacheKey, LabelIsPresentationOnly) {
 }
 
 TEST(RunIdentity, BatchKeyPartitionsFlipsIntoSharedAndPerLaneFields) {
-  // The lane-grouping rule: specs share a batched replay exactly when they
-  // share (workload, selector, policy, verify). Reusing the exhaustive flip
-  // list keeps this classification complete by construction — a new
-  // identity field added there must be placed on one side of this fence.
+  // The grouping rule: specs share a grid scheduling unit (and may share
+  // a batched replay) exactly when they share (workload, selector, policy,
+  // verify). Reusing the exhaustive flip list keeps this classification
+  // complete by construction — a new identity field added there must be
+  // placed on one side of this fence.
   const std::string base_batch = RunIdentity::batch_key(base_spec());
   for (const Flip& flip : identity_flips()) {
     RunSpec spec = base_spec();

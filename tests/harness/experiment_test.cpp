@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace t1000 {
 namespace {
 
@@ -102,6 +104,25 @@ TEST(Experiment, SelectiveHonorsThresholdPolicy) {
   const RunOutcome r = exp.run(impossible);
   EXPECT_EQ(r.num_configs, 0);
   EXPECT_EQ(r.num_apps, 0);
+}
+
+TEST(Experiment, InvalidPolicyFailsBeforeAnyWork) {
+  // A zero max_inputs used to surface as std::bad_array_new_length from
+  // deep inside selection; the entry point now names the field.
+  WorkloadExperiment exp(small_workload());
+  RunSpec spec = selective_two();
+  spec.policy.extract.max_inputs = 0;
+  try {
+    exp.run(spec);
+    ADD_FAILURE() << "max_inputs = 0 accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("extract.max_inputs"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(exp.prepared(spec), SimError);
+  EXPECT_THROW(exp.verify(spec), SimError);
+  EXPECT_EQ(exp.trace_counters().recorded, 1u);  // only the eager baseline
 }
 
 TEST(Experiment, DeterministicAcrossRepeats) {

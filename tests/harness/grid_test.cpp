@@ -274,7 +274,10 @@ TEST(Grid, MemoryCacheDeduplicatesRepeatedSpecsInOneRun) {
   grid.add(baseline_spec("gsm_dec", "a"));
   grid.add(baseline_spec("gsm_dec", "b"));  // same key: label is excluded
   GridOptions options;
-  options.jobs = 1;  // serial, so the second lookup sees the first store
+  // Twins share a preparation and therefore a scheduling unit, which runs
+  // its specs in order: the second lookup sees the first store at any
+  // number of workers.
+  options.jobs = 4;
   const GridResult res = grid.run(options);
   EXPECT_EQ(res.engine().simulated, 1u);
   EXPECT_EQ(res.engine().cache.memory_hits, 1u);
@@ -282,10 +285,10 @@ TEST(Grid, MemoryCacheDeduplicatesRepeatedSpecsInOneRun) {
             res.stats("gsm_dec", "b").cycles);
 }
 
-// A grid whose specs form real batch groups: per workload and selector,
-// several machine configurations share one preparation (same policy), so
-// the batching engine can time them as lanes of one sweep.
-ExperimentGrid batchable_grid() {
+// A grid whose scheduling units hold several specs: per workload and
+// selector, several machine configurations share one preparation (same
+// policy), so one worker runs them in turn over one recorded trace.
+ExperimentGrid grouped_grid() {
   ExperimentGrid grid;
   grid.add_workload(*find_workload("gsm_dec"));
   grid.add_workload(*find_workload("g721_dec"));
@@ -364,36 +367,40 @@ TEST(Grid, JournalRecordsRunCacheAndPhaseSpansUnderOneTrace) {
   EXPECT_EQ(phases.count("phase.replay"), 1u);
 }
 
-TEST(Grid, JournalEmitsBatchSpansForGroupedLanes) {
-  const ExperimentGrid grid = batchable_grid();
+TEST(Grid, JournalEmitsOneRunSpanPerSimulatedRun) {
+  // Specs of a unit each run under their own span: the journal and the
+  // registry attribute every run, and nothing is timed as a batch.
+  const ExperimentGrid grid = grouped_grid();
   obs::Journal journal;
+  obs::MetricsRegistry metrics;
   GridOptions options;
+  options.jobs = 2;
   options.journal = &journal;
+  options.metrics = &metrics;
   options.trace = obs::TraceContext{journal.new_id(), 0};
   const GridResult res = grid.run(options);
-  ASSERT_EQ(res.engine().batches, 4u);
-  ASSERT_EQ(res.engine().batched_runs, 12u);
+  ASSERT_EQ(res.engine().simulated, grid.size());
 
   const std::vector<obs::JournalEvent> events =
       journal.poll(0, options.trace.trace_id, std::chrono::milliseconds(0));
-  std::size_t batch_begins = 0;
-  std::size_t batch_ends = 0;
-  std::size_t run_spans = 0;
+  std::size_t run_begins = 0;
+  std::size_t run_ends = 0;
+  std::set<std::string> labels;
   for (const obs::JournalEvent& ev : events) {
-    if (ev.name == "batch" && ev.kind == 'B') {
-      ++batch_begins;
-      // All three lanes of each group missed the fresh cache together.
-      EXPECT_EQ(ev.attrs.at("lanes").as_uint(), 3u);
-      EXPECT_FALSE(ev.attrs.at("workload").as_string().empty());
-    } else if (ev.name == "batch" && ev.kind == 'E') {
-      ++batch_ends;
-    } else if (ev.name == "run" && ev.kind == 'B') {
-      ++run_spans;
+    EXPECT_NE(ev.name, "batch");
+    if (ev.name != "run") continue;
+    if (ev.kind == 'B') {
+      ++run_begins;
+      labels.insert(ev.attrs.at("workload").as_string() + "/" +
+                    ev.attrs.at("label").as_string());
+    } else if (ev.kind == 'E') {
+      ++run_ends;
     }
   }
-  EXPECT_EQ(batch_begins, 4u);
-  EXPECT_EQ(batch_ends, 4u);
-  EXPECT_EQ(run_spans, 2u);  // only the baseline singletons run solo
+  EXPECT_EQ(run_begins, res.engine().simulated);
+  EXPECT_EQ(run_ends, run_begins);
+  EXPECT_EQ(labels.size(), grid.size());  // one span per spec, none shared
+  EXPECT_EQ(metrics.span("grid.run_wall")->count(), res.engine().runs);
 }
 
 TEST(Grid, JournalStaysSilentWithoutAnActiveTrace) {
@@ -405,31 +412,10 @@ TEST(Grid, JournalStaysSilentWithoutAnActiveTrace) {
   EXPECT_EQ(journal.events_appended(), 0u);
 }
 
-TEST(Grid, BatchedRunMatchesUnbatchedByteForByte) {
-  const ExperimentGrid grid = batchable_grid();
-  GridOptions batched;
-  batched.jobs = 1;
-  GridOptions unbatched = batched;
-  unbatched.batch = false;
-
-  const GridResult a = grid.run(batched);
-  const GridResult b = grid.run(unbatched);
-
-  // Batching engaged on one side only...
-  EXPECT_GT(a.engine().batches, 0u);
-  EXPECT_GT(a.engine().batched_runs, a.engine().batches);
-  EXPECT_EQ(b.engine().batches, 0u);
-  EXPECT_EQ(b.engine().batched_runs, 0u);
-  // ...with the same amount of real work (simulations, recorded traces,
-  // replays) and byte-identical deterministic results.
-  EXPECT_EQ(a.engine().simulated, b.engine().simulated);
-  EXPECT_EQ(a.engine().traces_recorded, b.engine().traces_recorded);
-  EXPECT_EQ(a.engine().trace_replays, b.engine().trace_replays);
-  EXPECT_EQ(a.results_json().dump(), b.results_json().dump());
-}
-
-TEST(Grid, BatchedRunIsScheduleIndependent) {
-  const ExperimentGrid grid = batchable_grid();
+TEST(Grid, GroupedRunIsScheduleIndependent) {
+  // Units of several specs, one worker or four: the same results and the
+  // same real work (simulations, recordings, replays of a recorded trace).
+  const ExperimentGrid grid = grouped_grid();
   GridOptions serial;
   serial.jobs = 1;
   GridOptions parallel;
@@ -437,63 +423,76 @@ TEST(Grid, BatchedRunIsScheduleIndependent) {
   const GridResult a = grid.run(serial);
   const GridResult b = grid.run(parallel);
   EXPECT_EQ(a.results_json().dump(), b.results_json().dump());
+  EXPECT_EQ(a.engine().simulated, b.engine().simulated);
+  EXPECT_EQ(a.engine().traces_recorded, b.engine().traces_recorded);
+  EXPECT_EQ(a.engine().trace_replays, b.engine().trace_replays);
+  // Two workloads x {none, greedy, selective at 2 PFUs}: six recordings
+  // (the baseline's is eager), and every other run replays one.
+  EXPECT_EQ(a.engine().traces_recorded, 6u);
+  EXPECT_EQ(a.engine().trace_replays, grid.size() - 4);
 }
 
-TEST(Grid, BatchedAndUnbatchedShareCacheEntries) {
-  // The cache identity is per run, not per batch: a cold batched pass must
-  // populate exactly the entries a warm unbatched pass hits, and the
-  // second pass simulates nothing.
-  const TempDir dir("batch-cache");
-  const ExperimentGrid grid = batchable_grid();
-  GridOptions batched;
-  batched.jobs = 1;
-  batched.cache_dir = dir.str();
-  GridOptions unbatched = batched;
-  unbatched.batch = false;
+TEST(Grid, GroupedColdRunFillsTheEntriesAWarmRunHits) {
+  // The cache identity is per run: a cold grouped pass on four workers
+  // stores exactly the entries a warm serial pass hits, so the second
+  // pass simulates nothing and reproduces the results.
+  const TempDir dir("grouped-cache");
+  const ExperimentGrid grid = grouped_grid();
+  GridOptions cold_options;
+  cold_options.jobs = 4;
+  cold_options.cache_dir = dir.str();
+  GridOptions warm_options = cold_options;
+  warm_options.jobs = 1;
 
-  const GridResult cold = grid.run(batched);
+  const GridResult cold = grid.run(cold_options);
   EXPECT_EQ(cold.engine().simulated, grid.size());
-  EXPECT_GT(cold.engine().batches, 0u);
+  EXPECT_EQ(cold.engine().cache.stores, grid.size());
 
-  const GridResult warm = grid.run(unbatched);
+  const GridResult warm = grid.run(warm_options);
   EXPECT_EQ(warm.engine().simulated, 0u);
   EXPECT_EQ(warm.engine().cache.hits(), warm.engine().runs);
-  // All-hit grids dispatch no batches: there is nothing left to simulate.
-  EXPECT_EQ(warm.engine().batches, 0u);
   EXPECT_EQ(cold.results_json().dump(), warm.results_json().dump());
 }
 
-TEST(Grid, ObserveAndVerifyModesSurviveBatching) {
-  const ExperimentGrid grid = batchable_grid();
-  GridOptions batched;
-  batched.jobs = 1;
-  batched.observe = true;
-  batched.verify = true;
-  GridOptions unbatched = batched;
-  unbatched.batch = false;
+TEST(Grid, ObserveAndVerifyModesSurviveGrouping) {
+  const ExperimentGrid grid = grouped_grid();
+  GridOptions serial;
+  serial.jobs = 1;
+  serial.observe = true;
+  serial.verify = true;
+  GridOptions parallel = serial;
+  parallel.jobs = 4;
 
-  const GridResult a = grid.run(batched);
-  const GridResult b = grid.run(unbatched);
-  EXPECT_GT(a.engine().batches, 0u);
+  const GridResult a = grid.run(serial);
+  const GridResult b = grid.run(parallel);
   for (const RunResult& r : a.runs()) {
     ASSERT_EQ(r.status, RunStatus::kOk) << r.spec.workload << "/"
                                         << r.spec.label << ": " << r.error;
     EXPECT_TRUE(r.outcome.observed);
+    EXPECT_TRUE(r.spec.verify);
   }
   EXPECT_EQ(a.engine().observed, a.engine().runs);
+  // One verification per preparation, however many specs share it.
+  EXPECT_EQ(a.engine().verified_preps, 6u);
+  EXPECT_EQ(b.engine().verified_preps, 6u);
   EXPECT_EQ(a.results_json().dump(), b.results_json().dump());
 }
 
 TEST(Grid, RunBudgetForcesPerRunExecution) {
-  // A per-run wall-clock budget needs per-run timing, so it disables
-  // batching even when the option is left on.
-  const ExperimentGrid grid = batchable_grid();
+  // Specs of a unit execute one at a time, so a per-run wall-clock budget
+  // is checked against each run's own wall clock.
+  const ExperimentGrid grid = grouped_grid();
   GridOptions options;
   options.jobs = 1;
   options.run_budget_ms = 1e9;  // effectively unlimited, but set
   const GridResult res = grid.run(options);
-  EXPECT_EQ(res.engine().batches, 0u);
-  for (const RunResult& r : res.runs()) EXPECT_EQ(r.status, RunStatus::kOk);
+  double summed = 0.0;
+  for (const RunResult& r : res.runs()) {
+    EXPECT_EQ(r.status, RunStatus::kOk);
+    EXPECT_GT(r.wall_ms, 0.0);
+    summed += r.wall_ms;
+  }
+  EXPECT_LE(summed, res.engine().wall_ms);  // one worker: runs never overlap
 }
 
 TEST(Grid, CorruptDiskEntriesAreQuarantinedOnceAndRepaired) {

@@ -117,6 +117,38 @@ TEST(SerializeRoundTrip, InvalidMachinesAreRejectedNamingTheField) {
   }
 }
 
+TEST(SerializeRoundTrip, InvalidPoliciesAreRejectedNamingTheField) {
+  // select_policy_from_json runs validate(SelectPolicy), extract policy
+  // included, as a JsonError naming the field and its bound.
+  const std::pair<const char*, const char*> cases[] = {
+      {"extract.max_inputs", R"({"extract": {"max_inputs": 0}})"},
+      {"extract.max_inputs", R"({"extract": {"max_inputs": 5}})"},
+      {"extract.max_outputs", R"({"extract": {"max_outputs": 0}})"},
+      {"extract.min_length", R"({"extract": {"min_length": 0}})"},
+      {"extract.max_length", R"({"extract": {"max_length": 1}})"},
+      {"extract.max_width", R"({"extract": {"max_width": 33}})"},
+      {"num_pfus", R"({"num_pfus": -2})"},
+      {"num_pfus", R"({"num_pfus": 5000})"},
+      {"time_threshold", R"({"time_threshold": -0.5})"},
+      {"lut_budget", R"({"lut_budget": -1})"},
+  };
+  for (const auto& [field, policy] : cases) {
+    try {
+      select_policy_from_json(Json::parse(policy));
+      ADD_FAILURE() << policy << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("outside"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The defaults, unlimited PFUs and the widest legal shape all pass.
+  EXPECT_NO_THROW(select_policy_from_json(Json::parse(
+      R"({"num_pfus": -1, "extract": {"max_inputs": 4, "max_outputs": 2}})")));
+  EXPECT_NO_THROW(validate(SelectPolicy{}));
+}
+
 TEST(SerializeRoundTrip, BadEnumNamesAreRejected) {
   EXPECT_THROW(run_spec_from_json(Json::parse(
                    "{\"workload\": \"epic\", \"selector\": \"wat\"}")),

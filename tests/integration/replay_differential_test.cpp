@@ -8,15 +8,18 @@
 // halt sentinel included. This suite checks that stream against the
 // reference interpreter over every registered workload (paper suite +
 // extended suite) and all three selectors, then holds the engine's
-// replayed, observed and batched runs to the standalone simulate() entry
-// over a deliberately hostile set of machine configurations: PFU counts
-// from 2 to unlimited, reconfiguration latencies from free to punitive,
-// shrunken cache/TLB geometries, a real (mispredicting) branch predictor,
-// multi-cycle extended instructions, and a narrow machine with tight
-// RUU/MSHR limits.
+// replayed and observed runs, and the lane API, to the standalone
+// simulate() entry over a deliberately hostile set of machine
+// configurations: PFU counts from 2 to unlimited, reconfiguration
+// latencies from free to punitive, shrunken cache/TLB geometries, a real
+// (mispredicting) branch predictor, multi-cycle extended instructions,
+// and a narrow machine with tight RUU/MSHR limits.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,6 +94,26 @@ const std::vector<Workload>& every_workload() {
     return out;
   }();
   return all;
+}
+
+// Per-workload stall-breakdown fixture under tests/integration/golden/
+// stalls/: one entry per "selector/machine", each the observed run's full
+// per-cause StallBreakdown. It pins attribution independently of the
+// pipeline that produces it. Regenerate deliberately with
+//
+//   T1000_REGEN_GOLDEN=1 ./replay_differential_test --gtest_filter='*Observed*'
+//
+// and review the diff: any change means attribution moved.
+std::string stall_fixture_path(const Workload& w) {
+  return std::string(T1000_GOLDEN_DIR) + "/stalls/" + w.name + ".json";
+}
+
+Json load_stall_fixture(const Workload& w) {
+  std::ifstream is(stall_fixture_path(w), std::ios::binary);
+  if (!is.is_open()) return Json();
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return Json::parse(buf.str());
 }
 
 RunSpec spec_for(const Workload& w, Selector selector,
@@ -205,11 +228,17 @@ TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
   // standalone observed simulate() replays it too (or, on the first
   // machine, records its own): both must attribute identically. Every
   // non-committing cycle is charged to exactly one cause, and observation
-  // is invisible to the statistics. Observed runs step every cycle while
-  // plain runs jump over quiet stretches, so equal statistics on every
-  // hostile machine is also the independent check of that jump.
+  // is invisible to the statistics. Observed runs charge a quiet stretch
+  // in bulk; the fixture, recorded while they still stepped every cycle,
+  // is the independent check of that bulk charge.
   const Workload& w = every_workload()[GetParam()];
   WorkloadExperiment& exp = experiment(GetParam());
+  const bool regen = std::getenv("T1000_REGEN_GOLDEN") != nullptr;
+  const Json fixture = regen ? Json() : load_stall_fixture(w);
+  ASSERT_TRUE(regen || fixture.is_object())
+      << "missing fixture " << stall_fixture_path(w)
+      << " (see stall_fixture_path)";
+  Json regenerated = Json::object();
 
   for (const Selector selector :
        {Selector::kNone, Selector::kGreedy, Selector::kSelective}) {
@@ -238,16 +267,34 @@ TEST_P(ReplayDifferential, ObservedReplayMatchesDirectStallBreakdown) {
           << tag;
       EXPECT_EQ(to_json(engine.stalls).dump(), to_json(obs.stalls).dump())
           << tag;
+
+      const std::string key =
+          std::string(selector_name(selector)) + "/" + nm.name;
+      if (regen) {
+        regenerated[key] = to_json(obs.stalls);
+      } else {
+        const Json* want = fixture.find(key);
+        ASSERT_NE(want, nullptr) << tag << ": no fixture entry";
+        EXPECT_EQ(to_json(obs.stalls).dump(), want->dump())
+            << tag << ": attribution drifted from the fixture";
+      }
     }
+  }
+  if (regen) {
+    std::ofstream os(stall_fixture_path(w), std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(os.is_open()) << "cannot write " << stall_fixture_path(w);
+    os << regenerated.dump(2) << "\n";
   }
 }
 
 TEST_P(ReplayDifferential, BatchedReplayMatchesSequentialRuns) {
-  // The config-parallel engine path: every machine configuration that
-  // shares a preparation is timed as one lane of a single batched sweep.
-  // Batching is only sound if each lane's outcome — statistics and, for
-  // observed lanes, the stall breakdown — is byte-identical to the run
-  // the sequential path would have produced.
+  // The lane API: every machine configuration that shares a preparation is
+  // timed as one lane of a simulate_replay_batch sweep over the engine's
+  // prepared trace. Each lane's statistics and, for observed lanes, its
+  // stall breakdown must be byte-identical to the engine's own run of that
+  // spec. The grid runs specs one at a time; the benchmark's traced grid
+  // replica (perfbench/layers.cpp) still times lanes, and its digest check
+  // relies on this equality.
   const Workload& w = every_workload()[GetParam()];
   WorkloadExperiment& exp = experiment(GetParam());
 
@@ -255,8 +302,8 @@ TEST_P(ReplayDifferential, BatchedReplayMatchesSequentialRuns) {
        {Selector::kNone, Selector::kGreedy, Selector::kSelective}) {
     std::vector<RunSpec> specs;
     for (const NamedMachine& nm : machines()) {
-      // Selective lanes must share the selection policy (the batch-identity
-      // rule): restrict that sweep to the 2-PFU machines.
+      // Lanes share one prepared trace, and a selective preparation
+      // depends on the PFU count: restrict that sweep to 2 PFUs.
       if (selector == Selector::kSelective && nm.machine.pfu.count != 2) {
         continue;
       }
@@ -266,24 +313,33 @@ TEST_P(ReplayDifferential, BatchedReplayMatchesSequentialRuns) {
     }
     ASSERT_GT(specs.size(), 1u);
 
-    const std::vector<WorkloadExperiment::BatchRunOutcome> lanes =
-        exp.run_batch(specs);
+    const WorkloadExperiment::PreparedView view = exp.prepared(specs.front());
+    BatchSimRequest request;
+    request.program = view.program;
+    request.ext_table = view.table;
+    request.trace = view.trace;
+    std::vector<SimObservation> observations(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      request.lanes.push_back(
+          {.machine = specs[i].machine,
+           .max_cycles = specs[i].max_cycles,
+           .observation = specs[i].observe ? &observations[i] : nullptr});
+    }
+    const std::vector<BatchLaneResult> lanes = simulate_replay_batch(request);
     ASSERT_EQ(lanes.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      ASSERT_EQ(lanes[i].error, nullptr)
-          << w.name << " / " << selector_name(selector) << " / "
-          << specs[i].label;
+      const std::string tag = w.name + " / " +
+                              std::string(selector_name(selector)) + " / " +
+                              specs[i].label;
+      ASSERT_EQ(lanes[i].error, nullptr) << tag;
       const RunOutcome single = exp.run(specs[i]);
-      EXPECT_EQ(to_json(lanes[i].outcome.stats).dump(),
-                to_json(single.stats).dump())
-          << w.name << " / " << selector_name(selector) << " / "
-          << specs[i].label;
-      EXPECT_EQ(lanes[i].outcome.observed, single.observed);
+      EXPECT_EQ(to_json(lanes[i].stats).dump(), to_json(single.stats).dump())
+          << tag;
+      EXPECT_EQ(specs[i].observe, single.observed) << tag;
       if (single.observed) {
-        EXPECT_EQ(to_json(lanes[i].outcome.stalls).dump(),
+        EXPECT_EQ(to_json(observations[i].stalls).dump(),
                   to_json(single.stalls).dump())
-            << w.name << " / " << selector_name(selector) << " / "
-            << specs[i].label;
+            << tag;
       }
     }
   }

@@ -101,6 +101,33 @@ constexpr HostileMachine kHostileMachines[] = {
      R"({"branch": {"kind": "bimodal", "bimodal_entries": 0}})"},
 };
 
+// Selection policies outside validate(SelectPolicy)'s bounds, each with
+// the field the 400 must name. Unchecked, a zero max_inputs died in
+// std::bad_array_new_length and a zero min_length failed only after the
+// analysis, inside ExtInstDef; the negative ones were silently accepted.
+struct HostilePolicy {
+  const char* field;
+  const char* policy;
+};
+constexpr HostilePolicy kHostilePolicies[] = {
+    {"extract.max_inputs", R"({"extract": {"max_inputs": 0}})"},
+    {"extract.max_inputs", R"({"extract": {"max_inputs": -1}})"},
+    {"extract.max_outputs", R"({"extract": {"max_outputs": 3}})"},
+    {"extract.min_length", R"({"extract": {"min_length": 0}})"},
+    {"extract.max_length", R"({"extract": {"max_length": 9}})"},
+    {"extract.max_width", R"({"extract": {"max_width": -1}})"},
+    {"num_pfus", R"({"num_pfus": -5})"},
+    {"time_threshold", R"({"time_threshold": 1.5})"},
+    {"lut_budget", R"({"lut_budget": -1})"},
+};
+
+std::string hostile_policy_request(const HostilePolicy& hostile) {
+  return std::string(
+             R"({"runs": [{"workload": "gsm_dec", "selector": "selective", )"
+             R"("policy": )") +
+         hostile.policy + "}]}";
+}
+
 std::string hostile_request(const HostileMachine& hostile) {
   return std::string(R"({"runs": [{"workload": "gsm_dec", "machine": )") +
          hostile.machine + "}]}";
@@ -269,6 +296,13 @@ TEST(Service, HostileBodiesAre400BeforeAdmission) {
     EXPECT_EQ(r.status, 400) << hostile.machine;
     EXPECT_NE(r.body.find(hostile.field), std::string::npos) << r.body;
   }
+  // So are unusable selection policies.
+  for (const HostilePolicy& hostile : kHostilePolicies) {
+    const HttpResponse r =
+        service.handle_http(post("/v1/jobs", hostile_policy_request(hostile)));
+    EXPECT_EQ(r.status, 400) << hostile.policy;
+    EXPECT_NE(r.body.find(hostile.field), std::string::npos) << r.body;
+  }
   // A value its field cannot hold is an error, not a truncation to 0.
   const HttpResponse wide = service.handle_http(post(
       "/v1/jobs", hostile_request({"dl1", R"({"dl1": {"assoc": 4294967300}})"})));
@@ -276,6 +310,45 @@ TEST(Service, HostileBodiesAre400BeforeAdmission) {
   EXPECT_NE(wide.body.find("assoc"), std::string::npos) << wide.body;
   const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
   EXPECT_EQ(list.at("jobs").size(), 0u);
+}
+
+TEST(Service, BatchOptionIsAnUnknownMember) {
+  // The grid has one execution path; "batch" no longer names an option.
+  SimService service(ServiceOptions{});
+  Json request = small_request();
+  Json options = Json::object();
+  options["batch"] = Json(true);
+  request["options"] = std::move(options);
+  const HttpResponse r = service.handle_http(post("/v1/jobs", request.dump()));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_NE(r.body.find("batch"), std::string::npos) << r.body;
+  const Json list = Json::parse(service.handle_http(get("/v1/jobs")).body);
+  EXPECT_EQ(list.at("jobs").size(), 0u);
+}
+
+TEST(Service, ObservedRunOnAStarvedMachineSkipsQuietCycles) {
+  // Tiny caches in front of a 65536-cycle memory: ~300M cycles, nearly
+  // all quiet. Observed runs charge quiet stretches in bulk instead of
+  // stepping through them, so the run takes well under a second where
+  // stepping took ~20 s.
+  const Json request = Json::parse(R"({"runs": [{"workload": "gsm_dec",
+      "machine": {"memory_latency": 65536,
+                  "dl1": {"size_bytes": 64, "line_bytes": 32, "assoc": 1},
+                  "l2": {"size_bytes": 64, "line_bytes": 32, "assoc": 1}}}],
+      "options": {"observe": true}})");
+  SimService service(ServiceOptions{});
+  const auto start = std::chrono::steady_clock::now();
+  const Json doc = service.run_local(request);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  const Json& run = doc.at("results").at(0);
+  ASSERT_EQ(run.at("status").as_string(), "ok") << doc.dump();
+  const Json& outcome = run.at("outcome");
+  const std::uint64_t cycles = outcome.at("stats").at("cycles").as_uint();
+  EXPECT_GT(cycles, 300000000u);
+  const StallBreakdown stalls =
+      stall_breakdown_from_json(outcome.at("stalls"));
+  EXPECT_EQ(stalls.cycles, cycles);
+  EXPECT_EQ(stalls.cause_cycles(), stalls.stall_cycles());
 }
 
 TEST(Service, RoutesAndMethodsAreEnforced) {

@@ -432,12 +432,12 @@ SimStats time_prepared(const WorkloadExperiment::PreparedView& view,
                    .observation = observation});
 }
 
-// Plain runs jump over quiet cycles; observed runs step through every one.
-// The jump is clamped so the cycle bound fires exactly where stepping
-// fires it: with C the plain run's cycle count (its last cycle is C - 1),
-// a bound of C - 1 admits the run and C - 2 trips it, observed and plain
-// alike. The thrashing machine (2 PFUs, 100-cycle reconfiguration) has
-// the longest quiet stretches.
+// Plain and observed runs jump over quiet cycles. The jump is clamped so
+// the cycle bound fires exactly where stepping fires it: with C the plain
+// run's cycle count (its last cycle is C - 1), a bound of C - 1 admits the
+// run and C - 2 trips it, observed and plain alike. The thrashing
+// machine (2 PFUs, 100-cycle reconfiguration) has the longest quiet
+// stretches.
 TEST(Timing, CycleBoundFiresOnTheSameCycleWithAndWithoutTheJump) {
   MachineConfig mispredicting = pfu_machine(2, 10);
   mispredicting.branch.kind = BranchPredictorKind::kBimodal;

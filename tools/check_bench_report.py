@@ -4,12 +4,13 @@
     check_bench_report.py BASELINE FRESH [--wall-tolerance-pct PCT]
 
 Compares a freshly generated report against the committed baseline
-(BENCH_10.json):
+(BENCH_14.json; BENCH_10.json is kept for the trajectory and predates the
+removal of the batched_replay scenario and the batch counters):
 
   * the schema string must match and the two reports must cover the same
     set of benches (a bench silently disappearing is itself a regression);
   * every deterministic counter (run counts, traces recorded, replays,
-    batches, cache hit/miss/store tallies) must match EXACTLY — these are
+    cache hit/miss/store tallies) must match EXACTLY — these are
     functions of the source tree, not the hardware, so any drift is a
     behavioral change that belongs in the baseline diff of the PR that
     caused it;
@@ -55,7 +56,7 @@ def main():
         gone = sorted(set(baseline) - set(fresh))
         new = sorted(set(fresh) - set(baseline))
         failures.append(f"bench set drifted: missing={gone} unexpected={new} "
-                        "(regenerate BENCH_10.json in this PR)")
+                        "(regenerate the baseline in this PR)")
 
     for name in sorted(set(baseline) & set(fresh)):
         base, cur = baseline[name], fresh[name]

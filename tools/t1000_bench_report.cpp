@@ -4,18 +4,18 @@
 //
 // Runs a registered subset of the bench suite's scenarios in-process —
 // small, fast grids chosen to cover every engine path whose performance
-// the repo cares about (greedy/selective selection, batched vs. serial
-// replay, cache round-trips, compiled code, verified sweeps) — and emits
-// one JSON document per invocation:
+// the repo cares about (greedy/selective selection, a replay sweep over
+// one preparation, cache round-trips, compiled code, verified sweeps) —
+// and emits one JSON document per invocation:
 //
 //   {"schema": "t1000-bench-report/v1",
 //    "host":    {...compiler/cpu fingerprint...},
 //    "benches": [{"name":..., "wall_ms":..., "counters": {...}}, ...]}
 //
 // The counters are *deterministic* for a given source tree (run counts,
-// traces recorded, replays, batches, cache hit/miss/store tallies): CI
-// diffs them exactly against the committed BENCH_10.json baseline, so any
-// change to scheduling, caching, or batching behavior shows up as a
+// traces recorded, replays, cache hit/miss/store tallies): CI diffs them
+// exactly against the committed BENCH_14.json baseline, so any change to
+// scheduling, caching, or trace sharing shows up as a
 // counter diff, reviewable like a golden file. wall_ms is hardware- and
 // load-dependent; the gate (tools/check_bench_report.py) only bounds it
 // with a generous percentage tolerance to catch order-of-magnitude
@@ -95,35 +95,18 @@ BenchOutcome bench_paper_selective(int jobs) {
   return run_grid(grid, options);
 }
 
-// A reconfiguration-latency sweep whose cache-missing lanes share a batch
-// identity: the batched engine must engage (batches > 0).
-void add_latency_sweep(ExperimentGrid* grid) {
-  grid->add(baseline_spec("gsm_dec"));
-  for (const int latency : {5, 10, 20, 40}) {
-    grid->add(selective_spec("gsm_dec", "L" + std::to_string(latency), 2,
-                             latency));
-  }
-}
-
-BenchOutcome bench_batched_replay(int jobs) {
-  ExperimentGrid grid;
-  add_suites(&grid);
-  add_latency_sweep(&grid);
-  GridOptions options;
-  options.jobs = jobs;
-  options.batch = true;
-  return run_grid(grid, options);
-}
-
-// The same sweep timed one replay at a time — the batched engine's
-// reference point (byte-identical results, batches == 0).
+// A reconfiguration-latency sweep over one selective preparation: one
+// recording, then one replay per latency.
 BenchOutcome bench_single_replay(int jobs) {
   ExperimentGrid grid;
   add_suites(&grid);
-  add_latency_sweep(&grid);
+  grid.add(baseline_spec("gsm_dec"));
+  for (const int latency : {5, 10, 20, 40}) {
+    grid.add(selective_spec("gsm_dec", "L" + std::to_string(latency), 2,
+                            latency));
+  }
   GridOptions options;
   options.jobs = jobs;
-  options.batch = false;
   return run_grid(grid, options);
 }
 
@@ -192,9 +175,7 @@ const std::vector<RegisteredBench>& registered_benches() {
        bench_paper_greedy},
       {"paper_selective", "selective selection over gsm_dec + g721_dec",
        bench_paper_selective},
-      {"batched_replay", "reconfig-latency sweep, batched lanes engaged",
-       bench_batched_replay},
-      {"single_replay", "the same sweep, one replay at a time",
+      {"single_replay", "reconfig-latency sweep over one preparation",
        bench_single_replay},
       {"cache_roundtrip", "cold + warm grid over one shared cache",
        bench_cache_roundtrip},
@@ -217,8 +198,6 @@ Json counters_json(const BenchOutcome& out) {
   j["simulated"] = Json(e.simulated);
   j["traces_recorded"] = Json(e.traces_recorded);
   j["trace_replays"] = Json(e.trace_replays);
-  j["batches"] = Json(e.batches);
-  j["batched_runs"] = Json(e.batched_runs);
   j["verified_preps"] = Json(e.verified_preps);
   j["observed"] = Json(e.observed);
   j["cache_hits"] = Json(out.cache.hits());

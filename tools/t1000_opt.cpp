@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: input already contains EXT instructions\n");
       return 1;
     }
-    const AnalyzedProgram ap = analyze_program(obj.program, 1u << 26);
-
     SelectPolicy policy;
     policy.num_pfus = static_cast<int>(pfus);
     policy.time_threshold = threshold;
     policy.use_subsequence_matrix = !no_matrix;
+    validate(policy);
+    const AnalyzedProgram ap = analyze_program(obj.program, 1u << 26);
     Selection sel = greedy ? select_greedy(ap) : select_selective(ap, policy);
     const RewriteResult rr = rewrite_program(obj.program, sel.apps);
 

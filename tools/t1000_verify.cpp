@@ -147,6 +147,7 @@ int main(int argc, char** argv) {
   policy.extract.max_outputs = static_cast<int>(max_outputs);
 
   try {
+    validate(policy);
     // Keep loaded objects alive for the duration (jobs hold table pointers).
     std::vector<LoadedObject> loaded;
     std::vector<VerifyJob> jobs;
