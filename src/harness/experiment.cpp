@@ -1,11 +1,11 @@
 #include "harness/experiment.hpp"
 
-#include <chrono>
 #include <string>
 #include <utility>
 
 #include "harness/identity.hpp"
 #include "harness/serialize.hpp"
+#include "obs/scope.hpp"
 #include "sim/trace.hpp"
 
 namespace t1000 {
@@ -25,47 +25,19 @@ std::string extract_key(const ExtractPolicy& policy) {
   return to_json(policy).dump();
 }
 
-// RAII phase instrumentation: one histogram observation
-// (exp.phase_ms|phase=<name>) plus one journal span (phase.<name>) under
-// the calling thread's current trace context. Both sinks optional; an
-// empty ExperimentObs costs one steady_clock read per phase.
-class PhaseTimer {
- public:
-  PhaseTimer(const ExperimentObs& obs, std::string_view phase)
-      : obs_(obs),
-        phase_(phase),
-        span_(obs.journal, obs::current_trace_context(),
-              "phase." + std::string(phase)),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~PhaseTimer() {
-    if (obs_.metrics == nullptr) return;
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-    phase_histogram(obs_.metrics, phase_)
-        ->observe(static_cast<std::uint64_t>(ms));
-  }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  const ExperimentObs& obs_;
-  std::string_view phase_;
-  obs::Journal::SpanScope span_;
-  std::chrono::steady_clock::time_point start_;
-};
+// One experiment phase as an obs::Scope: an `exp.phase_ns|phase=<name>`
+// observation plus a `phase.<name>` span under the calling thread's current
+// trace context. Both sinks optional; an empty ExperimentObs costs the two
+// clock reads.
+obs::Scope phase_scope(const ExperimentObs& obs, std::string_view phase) {
+  const std::string name(phase);
+  return obs::Scope(obs.metrics != nullptr
+                        ? obs.metrics->ns_histogram("exp.phase_ns|phase=" + name)
+                        : nullptr,
+                    obs.journal, obs::current_trace_context(), "phase." + name);
+}
 
 }  // namespace
-
-obs::Histogram* phase_histogram(obs::MetricsRegistry* metrics,
-                                std::string_view phase) {
-  if (metrics == nullptr) return nullptr;
-  return metrics->histogram(
-      "exp.phase_ms|phase=" + std::string(phase),
-      {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
-}
 
 std::string_view selector_name(Selector selector) {
   switch (selector) {
@@ -87,6 +59,15 @@ bool selector_from_name(std::string_view name, Selector* out) {
   return false;
 }
 
+template <typename T>
+OnceCell<T>& WorkloadExperiment::cell(CellMap<T>& cells,
+                                      const std::string& key) const {
+  std::lock_guard<std::mutex> lock(prep_mu_);
+  std::shared_ptr<OnceCell<T>>& entry = cells[key];
+  if (!entry) entry = std::make_shared<OnceCell<T>>();
+  return *entry;  // map nodes are never erased: the reference stays valid
+}
+
 WorkloadExperiment::WorkloadExperiment(const Workload& workload,
                                        ExperimentObs obs)
     : workload_(workload), obs_(obs), program_(workload_program(workload)) {
@@ -100,7 +81,7 @@ WorkloadExperiment::WorkloadExperiment(const Workload& workload,
   auto base = std::make_shared<PreparedRun>();
   base->ucode = analysis_.ucode;
   {
-    const PhaseTimer phase(obs_, "record");
+    const obs::Scope phase = phase_scope(obs_, "record");
     base->trace = record_trace(*base->ucode, workload_.max_steps);
   }
   base_checksum_ = base->trace.checksum();
@@ -108,10 +89,8 @@ WorkloadExperiment::WorkloadExperiment(const Workload& workload,
   base->partial.trace_steps = base->trace.size();
   base->partial.trace_hash = base->trace.content_hash();
 
-  auto slot = std::make_shared<PreparedSlot>();
-  // Consume the once_flag so later lookups see the slot as built.
-  std::call_once(slot->once, [&] { slot->run = std::move(base); });
-  prepared_.emplace("none", std::move(slot));
+  // Fill the cell now so later lookups see the baseline as built.
+  cell(prepared_, "none").get([&] { return std::move(base); });
   traces_recorded_.store(1);
 }
 
@@ -119,23 +98,10 @@ const AnalyzedProgram& WorkloadExperiment::analysis_for(
     const ExtractPolicy& policy) const {
   const std::string key = extract_key(policy);
   if (key == default_extract_key_) return analysis_;
-  std::shared_ptr<AnalysisSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(prep_mu_);
-    std::shared_ptr<AnalysisSlot>& entry = analyses_[key];
-    if (!entry) entry = std::make_shared<AnalysisSlot>();
-    slot = entry;
-  }
-  std::call_once(slot->once, [&] {
-    try {
-      slot->analysis = std::make_shared<const AnalyzedProgram>(
-          analyze_program(program_, workload_.max_steps, policy));
-    } catch (...) {
-      slot->error = std::current_exception();
-    }
+  return *cell(analyses_, key).get([&] {
+    return std::make_shared<const AnalyzedProgram>(
+        analyze_program(program_, workload_.max_steps, policy));
   });
-  if (slot->error) std::rethrow_exception(slot->error);
-  return *slot->analysis;
 }
 
 std::shared_ptr<const WorkloadExperiment::PreparedRun>
@@ -149,7 +115,7 @@ WorkloadExperiment::build_prepared(const RunSpec& spec) const {
     // Everything between the analysis and the trace recording — selection,
     // rewrite, uop decode — is the "decode" phase: producing the executable
     // uop stream for this preparation.
-    const PhaseTimer phase(obs_, "decode");
+    const obs::Scope phase = phase_scope(obs_, "decode");
     run->selection = spec.selector == Selector::kGreedy
                          ? select_greedy(ap, spec.policy.lut_budget)
                          : select_selective(ap, spec.policy);
@@ -162,7 +128,7 @@ WorkloadExperiment::build_prepared(const RunSpec& spec) const {
         UopProgram::build(run->rewrite.program, &run->selection.table));
   }
   {
-    const PhaseTimer phase(obs_, "record");
+    const obs::Scope phase = phase_scope(obs_, "record");
     run->trace = record_trace(*run->ucode, workload_.max_steps);
   }
   if (run->trace.checksum() != base_checksum_) {
@@ -183,26 +149,16 @@ const WorkloadExperiment::PreparedRun& WorkloadExperiment::prepared_run(
   // Every entry point (run, prepared, verify) comes through here, so a bad
   // policy fails before any analysis or selection work.
   validate(spec.policy);
-  std::shared_ptr<PreparedSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(prep_mu_);
-    std::shared_ptr<PreparedSlot>& entry = prepared_[prep_key(spec)];
-    if (!entry) entry = std::make_shared<PreparedSlot>();
-    slot = entry;
-  }
   bool built = false;
-  std::call_once(slot->once, [&] {
-    built = true;
-    try {
-      slot->run = build_prepared(spec);
-      traces_recorded_.fetch_add(1);
-    } catch (...) {
-      slot->error = std::current_exception();
-    }
-  });
-  if (slot->error) std::rethrow_exception(slot->error);
+  const std::shared_ptr<const PreparedRun>& run = cell(prepared_, prep_key(spec)).get(
+      [&] {
+        std::shared_ptr<const PreparedRun> out = build_prepared(spec);
+        traces_recorded_.fetch_add(1);
+        return out;
+      },
+      &built);
   if (!built) trace_reuses_.fetch_add(1);
-  return *slot->run;
+  return *run;
 }
 
 WorkloadExperiment::PreparedView WorkloadExperiment::prepared(
@@ -218,34 +174,17 @@ WorkloadExperiment::PreparedView WorkloadExperiment::prepared(
 
 const VerifyReport& WorkloadExperiment::verify(const RunSpec& spec) const {
   const PreparedRun& prep = prepared_run(spec);
-  std::shared_ptr<VerifySlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(prep_mu_);
-    std::shared_ptr<VerifySlot>& entry = verified_[prep_key(spec)];
-    if (!entry) entry = std::make_shared<VerifySlot>();
-    slot = entry;
-  }
-  std::call_once(slot->once, [&] {
-    const PhaseTimer phase(obs_, "verify");
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      const VerifyOptions options = verify_options_for(spec.policy);
-      slot->report = std::make_shared<VerifyReport>(
-          prep.rewritten
-              ? verify_selection(analysis_for(spec.policy.extract),
-                                 prep.selection, prep.rewrite, options)
-              : verify_module(program_, nullptr, options));
-    } catch (...) {
-      slot->error = std::current_exception();
-    }
+  return *cell(verified_, prep_key(spec)).get([&] {
     verify_reports_.fetch_add(1);
-    verify_wall_us_.fetch_add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    obs::Scope phase = phase_scope(obs_, "verify");
+    const VerifyOptions options = verify_options_for(spec.policy);
+    auto report = std::make_shared<const VerifyReport>(
+        prep.rewritten ? verify_selection(analysis_for(spec.policy.extract),
+                                          prep.selection, prep.rewrite, options)
+                       : verify_module(program_, nullptr, options));
+    verify_wall_ns_.fetch_add(phase.close());
+    return report;
   });
-  if (slot->error) std::rethrow_exception(slot->error);
-  return *slot->report;
 }
 
 RunOutcome WorkloadExperiment::run(const RunSpec& spec) const {
@@ -261,7 +200,7 @@ RunOutcome WorkloadExperiment::run(const RunSpec& spec) const {
   const Program& program = prep.rewritten ? prep.rewrite.program : program_;
   const ExtInstTable* table = prep.rewritten ? &prep.selection.table : nullptr;
   RunOutcome out = prep.partial;
-  const PhaseTimer phase(obs_, "replay");
+  const obs::Scope phase = phase_scope(obs_, "replay");
   if (spec.observe) {
     SimObservation obs;
     out.stats = simulate({.program = &program,

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +21,7 @@
 #include "analysis/verifier.hpp"
 #include "extinst/rewrite.hpp"
 #include "extinst/select.hpp"
+#include "harness/once_cell.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
@@ -31,25 +31,19 @@
 namespace t1000 {
 
 // Optional observability sinks for the experiment's internal phases.
-// When `metrics` is set, each phase's wall-clock lands in a per-phase
-// latency histogram (`exp.phase_ms|phase=decode/record/replay/verify`;
-// the grid engine adds `phase=cache` for its cache operations). When
-// `journal` is set, each phase emits a begin/end span pair parented
-// under the calling thread's current TraceContext (obs/journal.hpp) —
-// this is how one serve request's trace reaches the phases without
-// every signature in between carrying a context. Both sinks are
-// borrowed, never owned, and must outlive the experiment; an empty
-// ExperimentObs (the default) makes every hook a no-op.
+// Each phase is one obs::Scope (obs/scope.hpp): its wall-clock lands in
+// the `exp.phase_ns|phase=decode/record/replay/verify` histogram when
+// `metrics` is set (the grid engine adds `phase=cache` for its cache
+// operations), and it is one `phase.<name>` span pair in `journal`,
+// parented under the calling thread's current TraceContext
+// (obs/journal.hpp) — this is how one serve request's trace reaches the
+// phases without every signature in between carrying a context. Both
+// sinks are borrowed, never owned, and must outlive the experiment; an
+// empty ExperimentObs (the default) makes every hook a no-op.
 struct ExperimentObs {
   obs::MetricsRegistry* metrics = nullptr;
   obs::Journal* journal = nullptr;
 };
-
-// Shared bucket bounds for the `exp.phase_ms|phase=...` histograms: the
-// registry aborts on a bounds mismatch for one name, so every creation
-// site funnels through phase_histogram().
-obs::Histogram* phase_histogram(obs::MetricsRegistry* metrics,
-                                std::string_view phase);
 
 enum class Selector {
   kNone,       // plain superscalar baseline
@@ -128,7 +122,7 @@ class WorkloadExperiment {
   // gate which sites exist at all), so each distinct policy gets its own
   // memoized AnalyzedProgram; the default policy resolves to the eagerly
   // built `analysis()` without re-profiling. Thread-safe like the rest of
-  // the memoization (once-guarded), and the reference stays valid for the
+  // the memoization (OnceCell), and the reference stays valid for the
   // experiment's lifetime.
   const AnalyzedProgram& analysis_for(const ExtractPolicy& policy) const;
 
@@ -145,7 +139,7 @@ class WorkloadExperiment {
   // programs the selection and rewrite — is paid once, then any number of
   // machine configurations are swept by replay (simulate_replay).
   //
-  // const; internal memoization is mutex/once-guarded: concurrent run()
+  // const; internal memoization is mutex/OnceCell-guarded: concurrent run()
   // calls on one experiment are safe, which the grid engine relies on.
   RunOutcome run(const RunSpec& spec) const;
 
@@ -192,7 +186,7 @@ class WorkloadExperiment {
   };
   VerifyCounters verify_counters() const {
     return {verify_reports_.load(),
-            static_cast<double>(verify_wall_us_.load()) / 1000.0};
+            static_cast<double>(verify_wall_ns_.load()) / 1e6};
   }
 
  private:
@@ -204,27 +198,18 @@ class WorkloadExperiment {
     RewriteResult rewrite;   // owned; meaningful when rewritten
     // Pre-decoded uop stream for the program this preparation executes
     // (rewrite.program + selection.table when rewritten, else the
-    // experiment's baseline ucode). Decoded once under the once_flag,
-    // shared read-only by every machine configuration swept over it.
+    // experiment's baseline ucode). Decoded once inside the preparation's
+    // build, shared read-only by every machine configuration swept over it.
     std::shared_ptr<const UopProgram> ucode;
     CommittedTrace trace;
     RunOutcome partial;  // all fields except stats (filled per machine)
   };
-  struct PreparedSlot {
-    std::once_flag once;
-    std::shared_ptr<const PreparedRun> run;
-    std::exception_ptr error;
-  };
-  struct VerifySlot {
-    std::once_flag once;
-    std::shared_ptr<const VerifyReport> report;
-    std::exception_ptr error;
-  };
-  struct AnalysisSlot {
-    std::once_flag once;
-    std::shared_ptr<const AnalyzedProgram> analysis;
-    std::exception_ptr error;
-  };
+  template <typename T>
+  using CellMap = std::map<std::string, std::shared_ptr<OnceCell<T>>>;
+
+  // The memoization cell for `key` in `cells`, created on first use.
+  template <typename T>
+  OnceCell<T>& cell(CellMap<T>& cells, const std::string& key) const;
 
   const PreparedRun& prepared_run(const RunSpec& spec) const;
   std::shared_ptr<const PreparedRun> build_prepared(const RunSpec& spec) const;
@@ -237,13 +222,14 @@ class WorkloadExperiment {
   std::uint32_t base_checksum_ = 0;
 
   mutable std::mutex prep_mu_;  // guards the memoization map shapes
-  mutable std::map<std::string, std::shared_ptr<PreparedSlot>> prepared_;
-  mutable std::map<std::string, std::shared_ptr<VerifySlot>> verified_;
-  mutable std::map<std::string, std::shared_ptr<AnalysisSlot>> analyses_;
+  mutable CellMap<std::shared_ptr<const PreparedRun>> prepared_;
+  mutable CellMap<std::shared_ptr<const VerifyReport>> verified_;
+  mutable CellMap<std::shared_ptr<const AnalyzedProgram>> analyses_;
   mutable std::atomic<std::uint64_t> traces_recorded_{0};
   mutable std::atomic<std::uint64_t> trace_reuses_{0};
   mutable std::atomic<std::uint64_t> verify_reports_{0};
-  mutable std::atomic<std::uint64_t> verify_wall_us_{0};
+  // Sum of the verify phase scopes' elapsed time.
+  mutable std::atomic<std::uint64_t> verify_wall_ns_{0};
 };
 
 // cycles(baseline) / cycles(variant): >1 means the variant is faster. This

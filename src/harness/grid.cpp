@@ -17,8 +17,10 @@
 
 #include "analysis/diagnostic.hpp"
 #include "harness/identity.hpp"
+#include "harness/once_cell.hpp"
 #include "harness/report.hpp"
 #include "harness/serialize.hpp"
+#include "obs/scope.hpp"
 #include "sim/executor.hpp"
 
 namespace t1000 {
@@ -37,37 +39,16 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 struct WorkloadSlot {
   const Workload* workload = nullptr;
   ExperimentObs obs;  // set before the workers start
-
-  std::once_flag hash_once;
-  std::uint64_t hash = 0;
-  std::exception_ptr hash_error;
-
-  std::once_flag experiment_once;
-  std::unique_ptr<WorkloadExperiment> experiment;
-  std::exception_ptr experiment_error;
+  OnceCell<std::uint64_t> hash;
+  OnceCell<std::unique_ptr<WorkloadExperiment>> experiment;
 
   std::uint64_t program_hash_for() {
-    std::call_once(hash_once, [this] {
-      try {
-        hash = program_hash(workload_program(*workload));
-      } catch (...) {
-        hash_error = std::current_exception();
-      }
-    });
-    if (hash_error) std::rethrow_exception(hash_error);
-    return hash;
+    return hash.get([this] { return program_hash(workload_program(*workload)); });
   }
 
   const WorkloadExperiment& experiment_for() {
-    std::call_once(experiment_once, [this] {
-      try {
-        experiment = std::make_unique<WorkloadExperiment>(*workload, obs);
-      } catch (...) {
-        experiment_error = std::current_exception();
-      }
-    });
-    if (experiment_error) std::rethrow_exception(experiment_error);
-    return *experiment;
+    return *experiment.get(
+        [this] { return std::make_unique<WorkloadExperiment>(*workload, obs); });
   }
 };
 
@@ -296,20 +277,16 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     obs::Counter* cache_hits = nullptr;
     obs::Counter* simulated = nullptr;
     obs::Counter* incomplete = nullptr;
-    obs::Span* run_wall = nullptr;
-    obs::Histogram* run_wall_ms = nullptr;
-    obs::Histogram* cache_phase_ms = nullptr;
+    obs::Histogram* run_ns = nullptr;    // simulated runs, as their spans
+    obs::Histogram* cache_ns = nullptr;  // cache lookups and stores
   } metrics;
   if (options.metrics != nullptr) {
     metrics.runs = options.metrics->counter("grid.runs");
     metrics.cache_hits = options.metrics->counter("grid.cache_hits");
     metrics.simulated = options.metrics->counter("grid.simulated");
     metrics.incomplete = options.metrics->counter("grid.runs_incomplete");
-    metrics.run_wall = options.metrics->span("grid.run_wall");
-    metrics.run_wall_ms = options.metrics->histogram(
-        "grid.run_wall_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
-                             5000, 10000});
-    metrics.cache_phase_ms = phase_histogram(options.metrics, "cache");
+    metrics.run_ns = options.metrics->ns_histogram("grid.run_ns");
+    metrics.cache_ns = options.metrics->ns_histogram("exp.phase_ns|phase=cache");
   }
 
   ResultCache local_cache(options.cache_dir, options.cache_budget_bytes);
@@ -323,39 +300,32 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     slots[i].obs = ExperimentObs{options.metrics, options.journal};
   }
 
-  // Journal emission helpers: cache operations become timed instants (the
-  // "cache" phase), runs become spans the experiment's phase spans parent
-  // under. All of it no-ops without a journal + active trace.
+  // Cache operations and runs are obs::Scopes: each is one span in the
+  // journal (under the worker's current trace context; the experiment's
+  // phase spans parent under the run's) and one observation in its `*_ns`
+  // histogram. Without a journal and an active trace only the histograms
+  // record.
   obs::Journal* const journal = options.journal;
   const auto cache_lookup = [&](ResultCache& c, const CacheKey& key,
                                 RunOutcome* outcome) {
-    const auto start = std::chrono::steady_clock::now();
+    obs::Scope scope(metrics.cache_ns, journal, obs::current_trace_context(),
+                     "cache.lookup");
     const bool hit = c.lookup(key, outcome);
-    if (metrics.cache_phase_ms != nullptr) {
-      metrics.cache_phase_ms->observe(
-          static_cast<std::uint64_t>(ms_since(start)));
-    }
     if (journal != nullptr) {
       Json attrs = Json::object();
       attrs["hit"] = Json(hit);
-      journal->instant(obs::current_trace_context(), "cache.lookup",
-                       std::move(attrs));
+      scope.set_end_attrs(std::move(attrs));
     }
     return hit;
   };
   const auto cache_store = [&](ResultCache& c, const CacheKey& key,
                                const RunOutcome& outcome) {
-    const auto start = std::chrono::steady_clock::now();
+    const obs::Scope scope(metrics.cache_ns, journal,
+                           obs::current_trace_context(), "cache.store");
     c.store(key, outcome);
-    if (metrics.cache_phase_ms != nullptr) {
-      metrics.cache_phase_ms->observe(
-          static_cast<std::uint64_t>(ms_since(start)));
-    }
-    if (journal != nullptr) {
-      journal->instant(obs::current_trace_context(), "cache.store");
-    }
   };
-  const auto run_attrs = [](const RunSpec& spec) {
+  const auto run_attrs = [&](const RunSpec& spec) {
+    if (journal == nullptr) return Json();
     Json attrs = Json::object();
     attrs["workload"] = Json(spec.workload);
     attrs["label"] = Json(spec.label);
@@ -431,24 +401,18 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
     const auto run_start = std::chrono::steady_clock::now();
     try {
       if (options.fault_hook) options.fault_hook(out.spec);
-      {
-        const auto scope = metrics.run_wall != nullptr
-                               ? std::make_unique<obs::Span::Scope>(
-                                     metrics.run_wall)
-                               : nullptr;
-        WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
-        const CacheKey key = make_cache_key(
-            out.spec, slot.program_hash_for(), slot.workload->max_steps);
-        if (cache_lookup(cache, key, &out.outcome)) {
-          out.cache_hit = true;
-        } else {
-          obs::Journal::SpanScope run_span(journal,
-                                           obs::current_trace_context(), "run",
-                                           run_attrs(out.spec));
-          const obs::ScopedTraceContext run_scope(run_span.context());
-          out.outcome = slot.experiment_for().run(out.spec);
-          cache_store(cache, key, out.outcome);
-        }
+      WorkloadSlot& slot = slots[index_.find(out.spec.workload)->second];
+      const CacheKey key = make_cache_key(out.spec, slot.program_hash_for(),
+                                          slot.workload->max_steps);
+      if (cache_lookup(cache, key, &out.outcome)) {
+        out.cache_hit = true;
+      } else {
+        const obs::Scope run(metrics.run_ns, journal,
+                             obs::current_trace_context(), "run",
+                             run_attrs(out.spec));
+        const obs::ScopedTraceContext run_context(run.context());
+        out.outcome = slot.experiment_for().run(out.spec);
+        cache_store(cache, key, out.outcome);
       }
       if (metrics.runs != nullptr) {
         metrics.runs->add(1);
@@ -456,9 +420,6 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
         else metrics.simulated->add(1);
       }
       out.wall_ms = ms_since(run_start);
-      if (metrics.run_wall_ms != nullptr) {
-        metrics.run_wall_ms->observe(static_cast<std::uint64_t>(out.wall_ms));
-      }
       if (options.run_budget_ms > 0 && out.wall_ms > options.run_budget_ms) {
         const std::string msg =
             strprintf("run exceeded wall-clock budget: %.1f ms > %.1f ms",
@@ -521,13 +482,13 @@ GridResult ExperimentGrid::run(const GridOptions& options) const {
   engine.cache = cache.counters().since(cache_baseline);
   engine.simulated = engine.cache.misses;
   for (const WorkloadSlot& slot : slots) {
-    if (!slot.experiment) continue;
-    const WorkloadExperiment::TraceCounters tc =
-        slot.experiment->trace_counters();
+    const WorkloadExperiment* experiment = slot.experiment.peek().get();
+    if (experiment == nullptr) continue;
+    const WorkloadExperiment::TraceCounters tc = experiment->trace_counters();
     engine.traces_recorded += tc.recorded;
     engine.trace_replays += tc.reused;
     const WorkloadExperiment::VerifyCounters vc =
-        slot.experiment->verify_counters();
+        experiment->verify_counters();
     engine.verified_preps += vc.reports;
     engine.verify_ms += vc.wall_ms;
   }
@@ -581,8 +542,9 @@ BenchOptions parse_bench_options(int argc, char** argv,
                   "breakdown to each outcome and a grid-level aggregate)",
                   &out.grid.observe);
   parser.add_string("--metrics-out", "FILE",
-                    "write the engine's metrics registry (grid.* counters, "
-                    "histograms, wall-clock spans) as JSON",
+                    "write the engine's metrics registry as JSON: grid.* "
+                    "counters and wall-clock histograms in ns (grid.run_ns, "
+                    "exp.phase_ns per phase)",
                     &out.metrics_path);
   long journal_max_bytes = 64l << 20;
   parser.add_string("--journal-out", "FILE",

@@ -121,16 +121,19 @@ struct GridOptions {
   // (EngineStats::stalls). Part of the cache identity, like verify.
   bool observe = false;
   // Optional harness metrics sink (obs/metrics.hpp): when set, the engine
-  // records its scheduling/caching counters and per-run wall-clock into it
-  // ("grid.*" instruments). Borrowed, never owned; must outlive run().
+  // records its scheduling/caching counters ("grid.*"), each simulated
+  // run's wall-clock ("grid.run_ns") and each cache operation's
+  // ("exp.phase_ns|phase=cache") into it. Borrowed, never owned; must
+  // outlive run().
   // Instruments are shared get-or-create, so one registry can observe many
   // grids — the worker-pool updates are lock-free and TSan-clean.
   obs::MetricsRegistry* metrics = nullptr;
   // Optional event journal (obs/journal.hpp): when set together with an
   // active `trace`, every worker installs the trace as its thread-local
-  // context and emits run spans and cache.lookup/cache.store
-  // instants into the journal — and the experiment's phase spans
+  // context and emits run spans and cache.lookup/cache.store spans into
+  // the journal — and the experiment's phase spans
   // (decode/record/replay/verify) parent under the enclosing run span.
+  // Each span is the same obs::Scope that feeds the metrics histogram.
   // Borrowed, never owned; must outlive run(). A null journal or an
   // inactive trace (trace_id == 0) makes every emission a no-op.
   obs::Journal* journal = nullptr;

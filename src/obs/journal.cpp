@@ -60,7 +60,6 @@ std::uint64_t Journal::new_id() {
 }
 
 void Journal::write_line_locked(const std::string& line) {
-  if (file_ == nullptr) return;
   if (options_.max_bytes > 0 &&
       file_bytes_ + line.size() > options_.max_bytes && file_bytes_ > 0) {
     // Bounded-size rotation: the active file moves to <path>.1 (replacing
@@ -98,7 +97,7 @@ void Journal::append(JournalEvent event) {
   event.ts_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start_)
                     .count();
-  write_line_locked(journal_event_line(event));
+  if (file_ != nullptr) write_line_locked(journal_event_line(event));
   ring_.push_back(std::move(event));
   if (options_.ring_capacity > 0 && ring_.size() > options_.ring_capacity) {
     ring_.pop_front();
@@ -147,21 +146,6 @@ void Journal::instant(const TraceContext& context, std::string name,
   ev.name = std::move(name);
   ev.attrs = std::move(attrs);
   append(std::move(ev));
-}
-
-Journal::SpanScope::SpanScope(Journal* journal, const TraceContext& context,
-                              std::string name, Json attrs)
-    : journal_(journal), context_(context), name_(std::move(name)) {
-  if (journal_ == nullptr || !context_.active()) {
-    journal_ = nullptr;
-    return;
-  }
-  span_id_ = journal_->begin_span(context_, name_, std::move(attrs));
-}
-
-Journal::SpanScope::~SpanScope() {
-  if (journal_ == nullptr) return;
-  journal_->end_span(context_, span_id_, name_, std::move(end_attrs_));
 }
 
 std::vector<JournalEvent> Journal::poll(std::uint64_t after_seq,

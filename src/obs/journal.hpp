@@ -60,7 +60,7 @@ struct TraceContext {
 };
 
 // The calling thread's current context. Layers that cannot receive a
-// context by parameter (the experiment's phase timers, deep in the run
+// context by parameter (the experiment's phase scopes, deep in the run
 // path) read this; layers that own a scheduling boundary (grid workers,
 // the serve runner) install it with ScopedTraceContext.
 const TraceContext& current_trace_context();
@@ -121,34 +121,14 @@ class Journal {
 
   // Span emission helpers. begin_span returns the new span's id; the
   // matching end_span names the same id. instant() attaches a point event
-  // to `context`'s span.
+  // to `context`'s span. Timed regions open their spans through obs::Scope
+  // (obs/scope.hpp), which also records the region's duration.
   std::uint64_t begin_span(const TraceContext& context, std::string name,
                            Json attrs = Json());
   void end_span(const TraceContext& context, std::uint64_t span_id,
                 std::string name, Json attrs = Json());
   void instant(const TraceContext& context, std::string name,
                Json attrs = Json());
-
-  // RAII begin/end pair; end attrs can be filled before destruction.
-  class SpanScope {
-   public:
-    SpanScope(Journal* journal, const TraceContext& context, std::string name,
-              Json attrs = Json());
-    ~SpanScope();
-    SpanScope(const SpanScope&) = delete;
-    SpanScope& operator=(const SpanScope&) = delete;
-
-    // The context children of this span should parent under.
-    TraceContext context() const { return {context_.trace_id, span_id_}; }
-    void set_end_attrs(Json attrs) { end_attrs_ = std::move(attrs); }
-
-   private:
-    Journal* journal_;  // null = inactive scope (no journal / no trace)
-    TraceContext context_;
-    std::uint64_t span_id_ = 0;
-    std::string name_;
-    Json end_attrs_;
-  };
 
   // Copies ring events with seq > after_seq, filtered by trace id (0 =
   // all). Blocks up to `wait` for at least one matching event; returns
@@ -167,6 +147,7 @@ class Journal {
   const std::string& path() const { return options_.path; }
 
  private:
+  // Appends one line to the (open) disk file, rotating it first if needed.
   void write_line_locked(const std::string& line);
 
   Options options_;

@@ -50,6 +50,19 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
   }
 }
 
+const std::vector<std::uint64_t>& ns_bounds() {
+  static const std::vector<std::uint64_t> bounds = [] {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t decade = 1000; decade <= 10'000'000'000ull;
+         decade *= 10) {
+      for (const std::uint64_t step : {1, 2, 5}) out.push_back(step * decade);
+    }
+    out.push_back(100'000'000'000ull);  // 100 s
+    return out;
+  }();
+  return bounds;
+}
+
 void Histogram::observe(std::uint64_t value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t bucket =
@@ -71,31 +84,19 @@ Counter* MetricsRegistry::counter(std::string_view name) {
   return it->second.counter.get();
 }
 
-Histogram* MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<std::uint64_t> bounds) {
+Histogram* MetricsRegistry::histogram(
+    std::string_view name, const std::vector<std::uint64_t>& bounds) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = instruments_.find(name);
   if (it == instruments_.end()) {
     it = instruments_.emplace(std::string(name), Instrument{}).first;
-    it->second.histogram = std::make_unique<Histogram>(std::move(bounds));
+    it->second.histogram = std::make_unique<Histogram>(bounds);
   } else if (!it->second.histogram) {
     registration_conflict(name, "already registered as a different kind");
   } else if (it->second.histogram->bounds() != bounds) {
     registration_conflict(name, "already registered with different buckets");
   }
   return it->second.histogram.get();
-}
-
-Span* MetricsRegistry::span(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    it = instruments_.emplace(std::string(name), Instrument{}).first;
-    it->second.span = std::make_unique<Span>();
-  } else if (!it->second.span) {
-    registration_conflict(name, "already registered as a different kind");
-  }
-  return it->second.span.get();
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -111,7 +112,7 @@ Json MetricsRegistry::to_json() const {
     if (inst.counter) {
       j["type"] = Json("counter");
       j["value"] = json_u64(inst.counter->value());
-    } else if (inst.histogram) {
+    } else {
       const Histogram& h = *inst.histogram;
       j["type"] = Json("histogram");
       Json bounds = Json::array();
@@ -124,10 +125,6 @@ Json MetricsRegistry::to_json() const {
       j["buckets"] = std::move(buckets);
       j["count"] = json_u64(h.count());
       j["sum"] = json_u64(h.sum());
-    } else {
-      j["type"] = Json("span");
-      j["count"] = json_u64(inst.span->count());
-      j["total_ns"] = json_u64(inst.span->total_ns());
     }
     doc[name] = std::move(j);
   }

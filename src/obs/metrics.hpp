@@ -1,5 +1,6 @@
-// The harness metrics registry: named counters, fixed-bucket histograms,
-// and scoped wall-clock spans.
+// The harness metrics registry: named counters and fixed-bucket
+// histograms. Wall-clock regions are timed by obs::Scope (obs/scope.hpp),
+// which records each one into a `*_ns` histogram on the shared ns_bounds().
 //
 // Instruments hang off a MetricsRegistry by name. Registration is
 // get-or-create: asking twice for the same (name, kind, shape) returns the
@@ -9,7 +10,7 @@
 // metric is a bug worth dying for; pinned by a death test).
 //
 // Thread-safety: registration takes the registry mutex; the hot update
-// paths (Counter::add, Histogram::observe, Span timing) are lock-free
+// paths (Counter::add, Histogram::observe) are lock-free
 // atomics, so the grid's worker pool can hammer shared instruments without
 // serializing. Counters and histogram tallies *saturate* at UINT64_MAX
 // instead of wrapping — a pegged counter is obviously wrong, a wrapped one
@@ -17,12 +18,11 @@
 //
 // to_json() renders instruments sorted by name with fixed member order, so
 // two registries that observed the same deterministic quantities dump
-// byte-identical JSON (wall-clock spans are inherently nondeterministic in
-// value, deterministic in shape).
+// byte-identical JSON (wall-clock histograms are inherently
+// nondeterministic in value, deterministic in shape).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -72,42 +72,11 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-// Wall-clock span accumulator. Scope measures one interval RAII-style and
-// folds it in (nanoseconds) on destruction.
-class Span {
- public:
-  class Scope {
-   public:
-    explicit Scope(Span* span)
-        : span_(span), start_(std::chrono::steady_clock::now()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      span_->record_ns(ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
-    }
-
-   private:
-    Span* span_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
-  Scope scope() { return Scope(this); }
-  void record_ns(std::uint64_t ns) {
-    saturating_add(count_, 1);
-    saturating_add(total_ns_, ns);
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t total_ns() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-};
+// The shared bucket bounds of every wall-clock histogram (`*_ns`): 1-2-5
+// per decade from 1 us to 100 s, in nanoseconds. One bound set for every
+// timed region keeps sub-millisecond phases visible and lets any two
+// duration histograms be compared bucket for bucket.
+const std::vector<std::uint64_t>& ns_bounds();
 
 class MetricsRegistry {
  public:
@@ -120,8 +89,11 @@ class MetricsRegistry {
   // bounds — prints the conflict to stderr and aborts.
   Counter* counter(std::string_view name);
   Histogram* histogram(std::string_view name,
-                       std::vector<std::uint64_t> bounds);
-  Span* span(std::string_view name);
+                       const std::vector<std::uint64_t>& bounds);
+  // A wall-clock histogram: nanoseconds on the shared ns_bounds().
+  Histogram* ns_histogram(std::string_view name) {
+    return histogram(name, ns_bounds());
+  }
 
   std::size_t size() const;
 
@@ -129,14 +101,12 @@ class MetricsRegistry {
   //   counter:   {"type":"counter","value":N}
   //   histogram: {"type":"histogram","bounds":[...],"buckets":[...],
   //               "count":N,"sum":N}
-  //   span:      {"type":"span","count":N,"total_ns":N}
   Json to_json() const;
 
  private:
   struct Instrument {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Span> span;
   };
 
   mutable std::mutex mu_;

@@ -9,15 +9,14 @@
 //  * histograms -> cumulative `<name>_bucket{le="..."}` series (the
 //                  registry stores per-bucket tallies; exposition
 //                  accumulates them), a closing `le="+Inf"` bucket equal to
-//                  `<name>_count`, plus `<name>_sum`
-//  * spans      -> `<name>_count` / `<name>_sum` (seconds) under
-//                  `# TYPE ... summary`
+//                  `<name>_count`, plus `<name>_sum` (wall-clock
+//                  histograms are `*_ns`: bounds and sum in nanoseconds)
 //
 // Label convention: a registry instrument named
 //   `family|key=value|key2=value2`
 // renders as the `family` metric with that label set — e.g. the serve
 // layer's per-route histograms register as
-// `serve.route_ms|route=GET /v1/jobs`. Everything before the first '|' is
+// `serve.route_ns|route=GET /v1/jobs`. Everything before the first '|' is
 // the family; each remaining '|'-separated segment is one `key=value`
 // pair (split on the first '='). Family and key are sanitized into the
 // Prometheus grammar ([a-zA-Z_:] / [a-zA-Z_]; every other byte becomes

@@ -40,30 +40,6 @@ void TraceEventLog::instant(std::string name, std::uint64_t ts, int pid,
   add(std::move(ev));
 }
 
-void TraceEventLog::flow_begin(std::string name, std::uint64_t id,
-                               std::uint64_t ts, int pid, int tid) {
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.ph = 's';
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.id = id;
-  add(std::move(ev));
-}
-
-void TraceEventLog::flow_end(std::string name, std::uint64_t id,
-                             std::uint64_t ts, int pid, int tid) {
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.ph = 'f';
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.id = id;
-  add(std::move(ev));
-}
-
 void TraceEventLog::name_process(int pid, std::string name) {
   TraceEvent ev;
   ev.name = "process_name";
@@ -85,10 +61,11 @@ void TraceEventLog::name_thread(int pid, int tid, std::string name) {
   metadata_.push_back(std::move(ev));
 }
 
-Json TraceEventLog::to_json() const {
+Json trace_events_json(const std::vector<TraceEvent>& metadata,
+                       const std::vector<TraceEvent>& events) {
   std::vector<const TraceEvent*> order;
-  order.reserve(events_.size());
-  for (const TraceEvent& ev : events_) order.push_back(&ev);
+  order.reserve(events.size());
+  for (const TraceEvent& ev : events) order.push_back(&ev);
   std::stable_sort(order.begin(), order.end(),
                    [](const TraceEvent* a, const TraceEvent* b) {
                      return a->ts < b->ts;
@@ -113,11 +90,15 @@ Json TraceEventLog::to_json() const {
   };
 
   Json arr = Json::array();
-  for (const TraceEvent& ev : metadata_) arr.push_back(render(ev));
+  for (const TraceEvent& ev : metadata) arr.push_back(render(ev));
   for (const TraceEvent* ev : order) arr.push_back(render(*ev));
   Json doc = Json::object();
   doc["traceEvents"] = std::move(arr);
   return doc;
+}
+
+Json TraceEventLog::to_json() const {
+  return trace_events_json(metadata_, events_);
 }
 
 }  // namespace t1000::obs

@@ -1,10 +1,13 @@
 #include "serve/service.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <utility>
 
 #include "harness/serialize.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/scope.hpp"
+#include "obs/trace_event.hpp"
 #include "workloads/workload.hpp"
 
 namespace t1000::serve {
@@ -37,7 +40,72 @@ bool parse_job_id(std::string_view segment, std::uint64_t* out) {
   return true;
 }
 
+// One event of the job timeline (pid 1, tid = job id).
+obs::TraceEvent job_event(std::string name, char ph, std::uint64_t ts, int tid,
+                          std::uint64_t flow_id = 0, Json args = Json()) {
+  return {std::move(name), ph, ts, 1, tid, flow_id, std::move(args)};
+}
+
+// A trace-viewer metadata event naming a track (thread) or group (process).
+obs::TraceEvent track_name(const char* kind, int tid, std::string name) {
+  Json args = Json::object();
+  args["name"] = Json(std::move(name));
+  return job_event(kind, 'M', 0, tid, 0, std::move(args));
+}
+
+std::uint64_t journal_us(double ts_ms) {
+  return static_cast<std::uint64_t>(ts_ms * 1000.0 + 0.5);
+}
+
 }  // namespace
+
+Json job_timeline_json(const std::vector<obs::JournalEvent>& events) {
+  struct JobTimeline {
+    std::uint64_t job = 0;
+    std::uint64_t trace_id = 0;
+    double submitted_ms = 0.0;
+    const obs::JournalEvent* begin = nullptr;  // the "job" span
+    const obs::JournalEvent* end = nullptr;
+  };
+  std::vector<JobTimeline> jobs;  // in submission order
+  std::map<std::uint64_t, std::size_t> by_trace;
+  for (const obs::JournalEvent& ev : events) {
+    if (ev.kind == 'i' && ev.name == "job.submitted" && ev.attrs.is_object()) {
+      const Json* job = ev.attrs.find("job");
+      if (job == nullptr) continue;
+      by_trace[ev.trace_id] = jobs.size();
+      jobs.push_back({job->as_uint(), ev.trace_id, ev.ts_ms});
+    } else if (ev.name == "job" && ev.parent_id == 0) {
+      // A job whose submission has left the ring has no timeline.
+      const auto it = by_trace.find(ev.trace_id);
+      if (it == by_trace.end()) continue;
+      (ev.kind == 'B' ? jobs[it->second].begin : jobs[it->second].end) = &ev;
+    }
+  }
+
+  std::vector<obs::TraceEvent> metadata = {
+      track_name("process_name", 0, "t1000-serve")};
+  // Per job: "queued" from submission to the job span's begin, then "run"
+  // to its end, and a flow arrow (id = the trace) from submission to run.
+  std::vector<obs::TraceEvent> slices;
+  for (const JobTimeline& t : jobs) {
+    const int tid = static_cast<int>(t.job);
+    metadata.push_back(
+        track_name("thread_name", tid, "job " + std::to_string(t.job)));
+    const std::uint64_t submitted = journal_us(t.submitted_ms);
+    slices.push_back(job_event("queued", 'B', submitted, tid));
+    slices.push_back(job_event("job", 's', submitted, tid, t.trace_id));
+    if (t.begin == nullptr) continue;
+    const std::uint64_t start = journal_us(t.begin->ts_ms);
+    slices.push_back(job_event("queued", 'E', start, tid));
+    slices.push_back(job_event("run", 'B', start, tid));
+    slices.push_back(job_event("job", 'f', start, tid, t.trace_id));
+    if (t.end == nullptr) continue;
+    slices.push_back(job_event("run", 'E', journal_us(t.end->ts_ms), tid, 0,
+                               t.end->attrs));
+  }
+  return obs::trace_events_json(metadata, slices);
+}
 
 std::string_view job_state_name(JobState state) {
   switch (state) {
@@ -54,12 +122,7 @@ SimService::SimService(ServiceOptions options)
       cache_(options_.cache_dir, options_.cache_budget_bytes),
       journal_(obs::Journal::Options{options_.journal_path,
                                      options_.journal_max_bytes,
-                                     /*ring_capacity=*/8192}),
-      start_time_(std::chrono::steady_clock::now()) {
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    trace_.name_process(1, "t1000-serve");
-  }
+                                     /*ring_capacity=*/8192}) {
   runner_ = std::thread([this] { runner_main(); });
 }
 
@@ -70,11 +133,6 @@ SimService::~SimService() {
   }
   cv_.notify_all();
   if (runner_.joinable()) runner_.join();
-}
-
-double SimService::now_ms() const {
-  const auto elapsed = std::chrono::steady_clock::now() - start_time_;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
 bool SimService::shutdown_requested() const {
@@ -188,15 +246,6 @@ void SimService::runner_main() {
       jobs_[id].state = JobState::kRunning;
       trace_id = jobs_[id].trace_id;
     }
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      const auto ts = static_cast<std::uint64_t>(now_ms());
-      trace_.end(ts, 1, static_cast<int>(id));  // "queued"
-      trace_.begin("run", ts, 1, static_cast<int>(id));
-      // Closes the flow the submission opened: in Perfetto, the arrow
-      // lands on this job's "run" slice on the runner's track.
-      trace_.flow_end("job", trace_id, ts, 1, static_cast<int>(id));
-    }
     if (test_run_hook) test_run_hook();
 
     Job finished;
@@ -206,12 +255,10 @@ void SimService::runner_main() {
       Json attrs = Json::object();
       attrs["job"] = Json(id);
       attrs["runs"] = Json(parsed.specs.size());
-      obs::Journal::SpanScope job_span(&journal_,
-                                       obs::TraceContext{trace_id, 0}, "job",
-                                       std::move(attrs));
+      obs::Scope job(metrics_.ns_histogram("serve.job_ns"), &journal_,
+                     obs::TraceContext{trace_id, 0}, "job", std::move(attrs));
       try {
-        const obs::Span::Scope timer(metrics_.span("serve.job_wall"));
-        const GridResult result = execute(parsed, job_span.context());
+        const GridResult result = execute(parsed, job.context());
         finished.state = JobState::kDone;
         finished.wall_ms = result.engine().wall_ms;
         finished.summary = result.engine_summary();
@@ -223,15 +270,10 @@ void SimService::runner_main() {
       }
       Json end_attrs = Json::object();
       end_attrs["state"] = Json(job_state_name(finished.state));
-      job_span.set_end_attrs(std::move(end_attrs));
+      job.set_end_attrs(std::move(end_attrs));
     }
     finished.cache_delta = cache_.counters().since(cache_before);
 
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.end(static_cast<std::uint64_t>(now_ms()), 1,
-                 static_cast<int>(id));  // "run"
-    }
     metrics_
         .counter(finished.state == JobState::kDone ? "serve.jobs_completed"
                                                    : "serve.jobs_failed")
@@ -299,18 +341,8 @@ HttpResponse SimService::handle_submit(const HttpRequest& request) {
     parsed_[id] = std::move(parsed);
     queue_.push_back(id);
     ack = job_status_json(job);
-  }
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    const auto ts = static_cast<std::uint64_t>(now_ms());
-    trace_.name_thread(1, static_cast<int>(id),
-                       "job " + std::to_string(id));
-    trace_.begin("queued", ts, 1, static_cast<int>(id));
-    // Opens the request's flow: the runner closes it when the job starts,
-    // correlating the submission with its execution in Perfetto.
-    trace_.flow_begin("job", trace_id, ts, 1, static_cast<int>(id));
-  }
-  {
+    // Journaled before mu_ is released, so the submission always precedes
+    // the runner's "job" span in the journal (and in /v1/trace).
     Json attrs = Json::object();
     attrs["job"] = Json(id);
     attrs["runs"] = Json(runs);
@@ -510,9 +542,9 @@ HttpResponse SimService::handle_metrics(const HttpRequest& request) const {
   return json_response(200, body);
 }
 
-HttpResponse SimService::handle_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return json_response(200, trace_.to_json());
+HttpResponse SimService::handle_trace() {
+  return json_response(
+      200, job_timeline_json(journal_.poll(0, 0, std::chrono::milliseconds(0))));
 }
 
 HttpResponse SimService::handle_janitor() {
@@ -603,7 +635,8 @@ HttpResponse SimService::route_request(const HttpRequest& request,
 
 HttpResponse SimService::handle_http(const HttpRequest& request) {
   metrics_.counter("serve.requests")->add();
-  const auto start = std::chrono::steady_clock::now();
+  // Timed only: a route is no span of any job's trace.
+  obs::Scope timer(nullptr, nullptr, obs::TraceContext{}, "");
 
   // Strip any query string; the API is path-routed only.
   std::string path = request.target;
@@ -620,14 +653,8 @@ HttpResponse SimService::handle_http(const HttpRequest& request) {
   const std::string method = request.method == "GET"    ? "GET"
                              : request.method == "POST" ? "POST"
                                                         : "OTHER";
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  metrics_
-      .histogram("serve.route_ms|route=" + method + " " + route_label,
-                 {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
-                  10000})
-      ->observe(static_cast<std::uint64_t>(ms));
+  timer.set_histogram(metrics_.ns_histogram("serve.route_ns|route=" + method +
+                                            " " + route_label));
   return response;
 }
 

@@ -9,10 +9,15 @@
 //    on-disk tier carries the size budget and is safe to share with
 //    concurrent CLI tools, see harness/cache.hpp),
 //  * one MetricsRegistry observing both the serve layer ("serve.*") and
-//    every grid it runs ("grid.*"), exported verbatim at GET /metrics, and
-//  * one TraceEventLog recording each job's queued/run lifecycle as
-//    Perfetto slices (ts = milliseconds since service start), exported at
-//    GET /v1/trace.
+//    every grid it runs ("grid.*", "exp.*"), exported at GET /metrics, and
+//  * one Journal (obs/journal.hpp) holding every job's trace. Its ring is
+//    the only job timeline: GET /v1/trace renders the queued/run slices
+//    from it (job_timeline_json), so the timeline is bounded by the ring.
+//
+// Every timed region is one obs::Scope (obs/scope.hpp): one journal span
+// and one `*_ns` histogram. A job is the "job" span and `serve.job_ns`; a
+// request is `serve.route_ns|route=<METHOD> <template>` (histogram only —
+// a route belongs to no job's trace).
 //
 // Jobs run on a single runner thread, strictly in submission order — the
 // grid inside a job already parallelizes across `jobs` workers, and serial
@@ -42,17 +47,20 @@
 //                                 renders Prometheus text exposition
 //                                 (version 0.0.4), default stays the JSON
 //                                 document, byte-identical to before
-//   GET  /v1/trace                Perfetto traceEvents for the job timeline
-//                                 (queued/run slices + per-job flow events
-//                                 correlated by trace id)
+//   GET  /v1/trace                Perfetto traceEvents for the job timeline,
+//                                 rendered from the journal ring: one tid
+//                                 per job, "queued" (job.submitted -> job
+//                                 span begin) and "run" (the job span)
+//                                 slices, one s/f flow pair keyed by the
+//                                 trace id; ts in microseconds
 //   POST /v1/janitor              sweep cache debris now -> report
 //   POST /v1/shutdown             request daemon exit (polled by the tool)
 //
 // Tracing: every job gets a trace id (minted from the journal) at
-// submission. The runner wraps the job's grid in a "job" span and threads
-// the context into the grid via GridOptions.trace/journal, so the grid's
-// run spans, cache events and the experiment's phase spans all land in the
-// job's trace — streamable live at /v1/jobs/<id>/events and, when the
+// submission, journaled as a "job.submitted" instant. The runner wraps the
+// job's grid in a "job" span and threads the context into the grid via
+// GridOptions.trace/journal, so the grid's run and cache spans and the
+// experiment's phase spans all land in the job's trace — streamable live at /v1/jobs/<id>/events and, when the
 // daemon was started with --journal-out, on disk as JSONL.
 //
 // A grid request is:
@@ -64,7 +72,6 @@
 // maximum so one client cannot opt out of the operator's limits.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -81,13 +88,21 @@
 #include "harness/json.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
 #include "serve/http.hpp"
 
 namespace t1000::serve {
 
 enum class JobState { kQueued, kRunning, kDone, kFailed };
 std::string_view job_state_name(JobState state);
+
+// The GET /v1/trace document ({"traceEvents": [...]}) built from journal
+// events in seq order. Each "job.submitted" instant (attrs.job = the job
+// id) opens a job on tid = job id: a "queued" slice to the begin of the
+// trace's root "job" span, then a "run" slice to its end (open while the
+// job runs), and a flow "s"/"f" pair with id = the trace id in hex. A job
+// whose submission is no longer among `events` is omitted. `ts` is in
+// microseconds of the journal clock.
+Json job_timeline_json(const std::vector<obs::JournalEvent>& events);
 
 struct ServiceOptions {
   int jobs = 0;           // grid worker threads per job; 0 = hardware
@@ -181,12 +196,11 @@ class SimService {
   HttpResponse handle_job_events(std::uint64_t id);
   HttpResponse handle_summary() const;
   HttpResponse handle_metrics(const HttpRequest& request) const;
-  HttpResponse handle_trace() const;
+  HttpResponse handle_trace();
   HttpResponse handle_janitor();
   HttpResponse handle_shutdown();
 
   Json job_status_json(const Job& job) const;
-  double now_ms() const;  // milliseconds since service start
 
   void runner_main();
 
@@ -205,10 +219,6 @@ class SimService {
   std::uint64_t next_job_id_ = 1;
   bool stopping_ = false;
   bool shutdown_requested_ = false;
-
-  mutable std::mutex trace_mu_;
-  obs::TraceEventLog trace_;
-  std::chrono::steady_clock::time_point start_time_;
 
   std::thread runner_;
 };

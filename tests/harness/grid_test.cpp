@@ -250,12 +250,7 @@ TEST(Grid, MetricsRegistryObservesGridExecution) {
   EXPECT_EQ(metrics.counter("grid.simulated")->value(), grid.size());
   EXPECT_EQ(metrics.counter("grid.cache_hits")->value(), 0u);
   EXPECT_EQ(metrics.counter("grid.runs_incomplete")->value(), 0u);
-  EXPECT_EQ(metrics.span("grid.run_wall")->count(), grid.size());
-  EXPECT_EQ(metrics.histogram("grid.run_wall_ms",
-                              {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
-                               2000, 5000, 10000})
-                ->count(),
-            grid.size());
+  EXPECT_EQ(metrics.ns_histogram("grid.run_ns")->count(), grid.size());
 
   // A long-lived registry accumulates across runs: the warm pass adds
   // all-hit traffic onto the same instruments.
@@ -263,9 +258,11 @@ TEST(Grid, MetricsRegistryObservesGridExecution) {
   EXPECT_EQ(metrics.counter("grid.runs")->value(), 2 * grid.size());
   EXPECT_EQ(metrics.counter("grid.simulated")->value(), grid.size());
   EXPECT_EQ(metrics.counter("grid.cache_hits")->value(), grid.size());
+  // grid.run_ns times simulated runs only: the all-hit pass adds none.
+  EXPECT_EQ(metrics.ns_histogram("grid.run_ns")->count(), grid.size());
   const Json j = metrics.to_json();
   EXPECT_EQ(j.at("grid.runs").at("type").as_string(), "counter");
-  EXPECT_EQ(j.at("grid.run_wall").at("type").as_string(), "span");
+  EXPECT_EQ(j.at("grid.run_ns").at("type").as_string(), "histogram");
 }
 
 TEST(Grid, MemoryCacheDeduplicatesRepeatedSpecsInOneRun) {
@@ -347,7 +344,6 @@ TEST(Grid, JournalRecordsRunCacheAndPhaseSpansUnderOneTrace) {
       ASSERT_NE(it, open.end()) << "end without begin: " << ev.name;
       EXPECT_EQ(it->second, ev.name);
       open.erase(it);
-    } else if (ev.kind == 'i') {
       if (ev.name == "cache.lookup") {
         ++lookups;
         EXPECT_TRUE(ev.attrs.at("hit").is_bool());
@@ -400,7 +396,55 @@ TEST(Grid, JournalEmitsOneRunSpanPerSimulatedRun) {
   EXPECT_EQ(run_begins, res.engine().simulated);
   EXPECT_EQ(run_ends, run_begins);
   EXPECT_EQ(labels.size(), grid.size());  // one span per spec, none shared
-  EXPECT_EQ(metrics.span("grid.run_wall")->count(), res.engine().runs);
+  EXPECT_EQ(metrics.ns_histogram("grid.run_ns")->count(), run_begins);
+}
+
+TEST(Grid, RegistryAndJournalCountTheSameRegions) {
+  // Every timed region is one obs::Scope: on a traced cold grid each
+  // `*_ns` histogram counts exactly the journal spans of its regions.
+  const ExperimentGrid grid = grouped_grid();
+  obs::Journal journal;
+  obs::MetricsRegistry metrics;
+  GridOptions options;
+  options.jobs = 2;
+  options.verify = true;
+  options.journal = &journal;
+  options.metrics = &metrics;
+  options.trace = obs::TraceContext{journal.new_id(), 0};
+  const GridResult res = grid.run(options);
+  ASSERT_EQ(res.engine().simulated, grid.size());
+
+  std::map<std::string, std::uint64_t> spans;  // name -> begin events
+  for (const obs::JournalEvent& ev :
+       journal.poll(0, options.trace.trace_id, std::chrono::milliseconds(0))) {
+    if (ev.kind == 'B') ++spans[ev.name];
+  }
+  ASSERT_EQ(journal.ring_dropped(), 0u);  // the ring kept every event
+
+  const Json j = metrics.to_json();
+  const std::string prefix = "exp.phase_ns|phase=";
+  std::set<std::string> phases;
+  for (const auto& [name, inst] : j.members()) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string phase = name.substr(prefix.size());
+    phases.insert(phase);
+    const std::uint64_t count = inst.at("count").as_uint();
+    // The cache phase is the lookup and store spans; every other phase X
+    // is the `phase.X` spans.
+    const std::uint64_t expected =
+        phase == "cache" ? spans["cache.lookup"] + spans["cache.store"]
+                         : spans["phase." + phase];
+    EXPECT_EQ(count, expected) << phase;
+    // Nanosecond buckets: no timed phase sums to zero.
+    if (count > 0) {
+      EXPECT_GT(inst.at("sum").as_uint(), 0u) << phase;
+    }
+  }
+  EXPECT_EQ(phases, (std::set<std::string>{"cache", "decode", "record",
+                                           "replay", "verify"}));
+  EXPECT_EQ(j.at("grid.run_ns").at("count").as_uint(), spans["run"]);
+  EXPECT_EQ(spans["run"], res.engine().simulated);
+  EXPECT_GT(j.at("grid.run_ns").at("sum").as_uint(), 0u);
 }
 
 TEST(Grid, JournalStaysSilentWithoutAnActiveTrace) {

@@ -1,5 +1,5 @@
 // Journal tests: event-line schema, seq/ts stamping, ring bounds, poll
-// filtering/blocking, span scopes, thread-local context scoping, and the
+// filtering/blocking, span helpers, thread-local context scoping, and the
 // on-disk JSONL tier (crash-safe complete lines, bounded rotation to
 // <path>.1).
 #include "obs/journal.hpp"
@@ -161,30 +161,6 @@ TEST(Journal, SpanHelpersEmitBeginEndAndInstants) {
   EXPECT_EQ(journal.begin_span(TraceContext{}, "ignored"), 0u);
   journal.instant(TraceContext{}, "ignored");
   EXPECT_EQ(journal.events_appended(), 3u);
-}
-
-TEST(Journal, SpanScopeEmitsPairAndCarriesEndAttrs) {
-  Journal journal;
-  const TraceContext root{journal.new_id(), 0};
-  {
-    Journal::SpanScope scope(&journal, root, "job");
-    EXPECT_EQ(scope.context().trace_id, root.trace_id);
-    EXPECT_NE(scope.context().span_id, 0u);
-    Json attrs = Json::object();
-    attrs["state"] = Json("done");
-    scope.set_end_attrs(std::move(attrs));
-  }
-  const std::vector<JournalEvent> events =
-      journal.poll(0, root.trace_id, milliseconds(0));
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, 'B');
-  EXPECT_EQ(events[1].kind, 'E');
-  EXPECT_EQ(events[1].attrs.at("state").as_string(), "done");
-
-  // A null journal or inactive context produces a no-op scope.
-  { Journal::SpanScope inactive(nullptr, root, "x"); }
-  { Journal::SpanScope inactive(&journal, TraceContext{}, "x"); }
-  EXPECT_EQ(journal.events_appended(), 2u);
 }
 
 TEST(Journal, ScopedTraceContextInstallsAndRestores) {

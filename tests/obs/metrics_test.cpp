@@ -1,6 +1,6 @@
 // MetricsRegistry unit tests: saturating arithmetic, get-or-create
 // registration (and the abort on conflicting re-registration), histogram
-// bucketing, and the deterministic JSON dump — including the decimal-string
+// bucketing and the shared ns bounds, and the deterministic JSON dump — including the decimal-string
 // rendering of tallies too large for a signed JSON integer.
 #include "obs/metrics.hpp"
 
@@ -63,15 +63,22 @@ TEST(Metrics, HistogramSumSaturates) {
   EXPECT_EQ(h.count(), 2u);
 }
 
-TEST(Metrics, SpanAccumulatesScopes) {
-  Span s;
-  s.record_ns(100);
-  s.record_ns(250);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.total_ns(), 350u);
-  { const Span::Scope scope = s.scope(); }
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_GE(s.total_ns(), 350u);
+TEST(Metrics, NsBoundsRunOneTwoFivePerDecadeFromAMicrosecondTo100s) {
+  const std::vector<std::uint64_t>& b = ns_bounds();
+  ASSERT_EQ(b.size(), 25u);  // 8 decades x {1,2,5} + the closing 100 s
+  EXPECT_EQ(b.front(), 1000u);
+  EXPECT_EQ(b[1], 2000u);
+  EXPECT_EQ(b[2], 5000u);
+  EXPECT_EQ(b[3], 10000u);
+  EXPECT_EQ(b.back(), 100000000000u);
+  // A sub-millisecond duration lands in a bounded bucket of its own
+  // instead of truncating to zero.
+  MetricsRegistry reg;
+  Histogram* h = reg.ns_histogram("x.phase_ns");
+  h->observe(1500);
+  EXPECT_EQ(h->bucket_count(1), 1u);  // (1 us, 2 us]
+  EXPECT_EQ(h->sum(), 1500u);
+  EXPECT_EQ(reg.ns_histogram("x.phase_ns"), h);
 }
 
 TEST(Metrics, RegistrationIsGetOrCreate) {
@@ -82,10 +89,7 @@ TEST(Metrics, RegistrationIsGetOrCreate) {
   Histogram* h1 = reg.histogram("grid.wall_ms", {1, 10, 100});
   Histogram* h2 = reg.histogram("grid.wall_ms", {1, 10, 100});
   EXPECT_EQ(h1, h2);
-  Span* s1 = reg.span("grid.wall");
-  Span* s2 = reg.span("grid.wall");
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
   // Shared instrument: updates through either handle land in one place.
   a->add(2);
   b->add(3);
@@ -101,7 +105,7 @@ TEST(MetricsDeathTest, ReRegisteringNameAsDifferentKindAborts) {
       {
         MetricsRegistry reg;
         reg.counter("grid.runs");
-        reg.span("grid.runs");
+        reg.histogram("grid.runs", {1, 2});
       },
       "conflicting registration of metric 'grid.runs'");
   EXPECT_DEATH(
@@ -137,7 +141,7 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
     reg.counter("b.counter")->add(7);
     reg.histogram("a.hist", {5, 50})->observe(3);
     reg.histogram("a.hist", {5, 50})->observe(60);
-    reg.span("c.span")->record_ns(123);
+    reg.counter("c.counter")->add(1);
   };
   MetricsRegistry one;
   MetricsRegistry two;
@@ -147,7 +151,7 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
   EXPECT_EQ(one.to_json().dump(2), two.to_json().dump(2));
   const std::string text = one.to_json().dump();
   EXPECT_LT(text.find("a.hist"), text.find("b.counter"));
-  EXPECT_LT(text.find("b.counter"), text.find("c.span"));
+  EXPECT_LT(text.find("b.counter"), text.find("c.counter"));
   const Json j = one.to_json();
   EXPECT_EQ(j.at("b.counter").at("type").as_string(), "counter");
   EXPECT_EQ(j.at("b.counter").at("value").as_uint(), 7u);
@@ -155,7 +159,11 @@ TEST(Metrics, ToJsonIsDeterministicAndSorted) {
   EXPECT_EQ(j.at("a.hist").at("sum").as_uint(), 63u);
   EXPECT_EQ(j.at("a.hist").at("buckets").at(0).as_uint(), 1u);
   EXPECT_EQ(j.at("a.hist").at("buckets").at(2).as_uint(), 1u);
-  EXPECT_EQ(j.at("c.span").at("count").as_uint(), 1u);
+  // Counters and histograms are the only kinds.
+  for (const auto& [name, inst] : j.members()) {
+    const std::string& type = inst.at("type").as_string();
+    EXPECT_TRUE(type == "counter" || type == "histogram") << name;
+  }
 }
 
 TEST(Metrics, SaturatedValuesRenderAsDecimalStrings) {
@@ -180,11 +188,9 @@ TEST(Metrics, ConcurrentUpdatesAreExact) {
     threads.emplace_back([&reg] {
       Counter* c = reg.counter("hammer.counter");
       Histogram* h = reg.histogram("hammer.hist", {8, 64, 512});
-      Span* s = reg.span("hammer.span");
       for (int i = 0; i < kIters; ++i) {
         c->add(1);
         h->observe(static_cast<std::uint64_t>(i % 1000));
-        s->record_ns(1);
       }
     });
   }
@@ -199,8 +205,6 @@ TEST(Metrics, ConcurrentUpdatesAreExact) {
     buckets += h->bucket_count(i);
   }
   EXPECT_EQ(buckets, kTotal);
-  EXPECT_EQ(reg.span("hammer.span")->count(), kTotal);
-  EXPECT_EQ(reg.span("hammer.span")->total_ns(), kTotal);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ std::vector<std::string> lines_of(const std::string& text) {
 }
 
 TEST(Prometheus, SanitizeNameMapsInvalidBytesToUnderscore) {
-  EXPECT_EQ(prometheus_sanitize_name("exp.phase_ms"), "exp_phase_ms");
+  EXPECT_EQ(prometheus_sanitize_name("exp.phase_ns"), "exp_phase_ns");
   EXPECT_EQ(prometheus_sanitize_name("grid.runs"), "grid_runs");
   EXPECT_EQ(prometheus_sanitize_name("a:b_c9"), "a:b_c9");
   // A leading digit is invalid even though digits are fine later.
@@ -59,14 +59,14 @@ TEST(Prometheus, SplitNameParsesFamilyAndLabels) {
   EXPECT_EQ(family, "grid_runs");
   EXPECT_EQ(labels, "");
 
-  prometheus_split_name("serve.route_ms|route=GET /v1/jobs/<id>", &family,
+  prometheus_split_name("serve.route_ns|route=GET /v1/jobs/<id>", &family,
                         &labels);
-  EXPECT_EQ(family, "serve_route_ms");
+  EXPECT_EQ(family, "serve_route_ns");
   EXPECT_EQ(labels, "{route=\"GET /v1/jobs/<id>\"}");
 
-  prometheus_split_name("exp.phase_ms|phase=decode|shard=3", &family,
+  prometheus_split_name("exp.phase_ns|phase=decode|shard=3", &family,
                         &labels);
-  EXPECT_EQ(family, "exp_phase_ms");
+  EXPECT_EQ(family, "exp_phase_ns");
   EXPECT_EQ(labels, "{phase=\"decode\",shard=\"3\"}");
 
   // A segment without '=' is a key with an empty value, and the value is
@@ -146,17 +146,6 @@ TEST(Prometheus, HugeHistogramTalliesSaturateCumulatively) {
   EXPECT_NE(text.find("big_bucket{le=\"+Inf\"} 6\n"), std::string::npos);
 }
 
-TEST(Prometheus, SpanRendersAsSummaryInSeconds) {
-  MetricsRegistry registry;
-  Span* span = registry.span("grid.wall");
-  span->record_ns(1500000000);  // 1.5 s
-  span->record_ns(500000000);   // 0.5 s
-  const std::string text = render_prometheus(registry);
-  EXPECT_NE(text.find("# TYPE grid_wall summary\n"), std::string::npos);
-  EXPECT_NE(text.find("grid_wall_sum 2\n"), std::string::npos);
-  EXPECT_NE(text.find("grid_wall_count 2\n"), std::string::npos);
-}
-
 TEST(Prometheus, GaugesAppendAfterRegistryInstruments) {
   MetricsRegistry registry;
   registry.counter("a")->add(1);
@@ -179,9 +168,8 @@ TEST(Prometheus, GaugesAppendAfterRegistryInstruments) {
 TEST(Prometheus, DocumentIsStructurallyValid) {
   MetricsRegistry registry;
   registry.counter("grid.runs")->add(7);
-  registry.histogram("exp.phase_ms|phase=decode", {1, 10})->observe(3);
-  registry.histogram("exp.phase_ms|phase=replay", {1, 10})->observe(12);
-  registry.span("grid.wall")->record_ns(1000);
+  registry.ns_histogram("exp.phase_ns|phase=decode")->observe(3000);
+  registry.ns_histogram("exp.phase_ns|phase=replay")->observe(12000000);
   const std::string text =
       render_prometheus(registry, {{"serve.journal_events", 5.0}});
   ASSERT_FALSE(text.empty());
@@ -196,7 +184,7 @@ TEST(Prometheus, DocumentIsStructurallyValid) {
       typed.push_back(rest.substr(0, space));
       const std::string type = rest.substr(space + 1);
       EXPECT_TRUE(type == "counter" || type == "histogram" ||
-                  type == "summary" || type == "gauge")
+                  type == "gauge")
           << line;
       continue;
     }
@@ -223,10 +211,10 @@ TEST(Prometheus, DocumentIsStructurallyValid) {
 TEST(Prometheus, ConcurrentRouteHistogramHammer) {
   MetricsRegistry registry;
   const std::vector<std::string> routes = {
-      "serve.route_ms|route=GET /v1/jobs",
-      "serve.route_ms|route=GET /v1/jobs/<id>",
-      "serve.route_ms|route=POST /v1/jobs",
-      "serve.route_ms|route=GET /metrics",
+      "serve.route_ns|route=GET /v1/jobs",
+      "serve.route_ns|route=GET /v1/jobs/<id>",
+      "serve.route_ns|route=POST /v1/jobs",
+      "serve.route_ns|route=GET /metrics",
   };
   constexpr int kPerThread = 2000;
   std::vector<std::thread> threads;

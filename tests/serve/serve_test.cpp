@@ -530,10 +530,15 @@ TEST(Service, MetricsContentNegotiatesPrometheusText) {
   EXPECT_NE(prom.body.find("serve_jobs_completed_total 1\n"),
             std::string::npos);
   // The per-route and per-phase histograms render with label blocks.
-  EXPECT_NE(prom.body.find("serve_route_ms_bucket{route=\"POST /v1/jobs\","),
+  EXPECT_NE(prom.body.find("serve_route_ns_bucket{route=\"POST /v1/jobs\","),
             std::string::npos);
-  EXPECT_NE(prom.body.find("exp_phase_ms_bucket{phase=\"replay\","),
+  EXPECT_NE(prom.body.find("exp_phase_ns_bucket{phase=\"replay\","),
             std::string::npos);
+  EXPECT_NE(prom.body.find("# TYPE serve_job_ns histogram\n"),
+            std::string::npos);
+  // Every timed region is an ns histogram: no summaries, no ms buckets.
+  EXPECT_EQ(prom.body.find(" summary\n"), std::string::npos);
+  EXPECT_EQ(prom.body.find("_ms_bucket"), std::string::npos);
   // Cache movement rides as gauges.
   EXPECT_NE(prom.body.find("serve_cache{counter=\"misses\"} 3\n"),
             std::string::npos);
@@ -575,6 +580,123 @@ TEST(Service, TraceCarriesPerJobFlowEvents) {
   }
   EXPECT_EQ(flow_starts, 1);
   EXPECT_EQ(flow_finishes, 1);
+}
+
+// ---------------------------------------------------------------------------
+// job_timeline_json: the /v1/trace renderer over hand-built journal events.
+
+obs::JournalEvent journal_event(double ts_ms, std::uint64_t trace, char kind,
+                                std::string name, Json attrs = Json()) {
+  obs::JournalEvent ev;
+  ev.ts_ms = ts_ms;
+  ev.trace_id = trace;
+  ev.span_id = kind == 'i' ? 0 : trace + 100;
+  ev.kind = kind;
+  ev.name = std::move(name);
+  ev.attrs = std::move(attrs);
+  return ev;
+}
+
+obs::JournalEvent submitted(double ts_ms, std::uint64_t trace,
+                            std::uint64_t job) {
+  Json attrs = Json::object();
+  attrs["job"] = Json(job);
+  attrs["runs"] = Json(1);
+  return journal_event(ts_ms, trace, 'i', "job.submitted", std::move(attrs));
+}
+
+// The timeline's slice/flow events of one tid, in document order.
+std::vector<Json> events_of_tid(const Json& doc, std::uint64_t tid) {
+  std::vector<Json> out;
+  for (const Json& ev : doc.at("traceEvents").items()) {
+    if (ev.at("ph").as_string() != "M" && ev.at("tid").as_uint() == tid) {
+      out.push_back(ev);
+    }
+  }
+  return out;
+}
+
+TEST(JobTimeline, RendersQueuedAndRunSlicesWithAFlowPerJob) {
+  // Job 1 (trace 0xa) finished; job 2 (trace 0xb) is running; job 3
+  // (trace 0xc) is still queued. A phase span inside a job is ignored.
+  const std::vector<obs::JournalEvent> events = {
+      submitted(1.0, 0xa, 1),
+      journal_event(2.5, 0xa, 'B', "job"),
+      journal_event(3.0, 0xa, 'B', "phase.replay"),
+      submitted(3.5, 0xb, 2),
+      journal_event(4.0, 0xa, 'E', "phase.replay"),
+      journal_event(4.25, 0xa, 'E', "job"),
+      journal_event(5.0, 0xb, 'B', "job"),
+      submitted(6.0, 0xc, 3),
+  };
+  const Json doc = job_timeline_json(events);
+
+  const std::vector<Json> done = events_of_tid(doc, 1);
+  std::vector<std::string> phs;
+  for (const Json& ev : done) phs.push_back(ev.at("ph").as_string());
+  EXPECT_EQ(phs, (std::vector<std::string>{"B", "s", "E", "B", "f", "E"}));
+  // ts is in microseconds of the journal clock.
+  EXPECT_EQ(done[0].at("name").as_string(), "queued");
+  EXPECT_EQ(done[0].at("ts").as_uint(), 1000u);
+  EXPECT_EQ(done[3].at("name").as_string(), "run");
+  EXPECT_EQ(done[3].at("ts").as_uint(), 2500u);
+  EXPECT_EQ(done[5].at("ts").as_uint(), 4250u);
+  // The flow pair carries the trace id in hex, from submission to run.
+  EXPECT_EQ(done[1].at("id").as_string(), "000000000000000a");
+  EXPECT_EQ(done[4].at("id").as_string(), "000000000000000a");
+  EXPECT_EQ(done[1].at("ts").as_uint(), 1000u);
+  EXPECT_EQ(done[4].at("ts").as_uint(), 2500u);
+
+  // The running job's run slice is open; its queued slice is closed.
+  const std::vector<Json> running = events_of_tid(doc, 2);
+  int depth = 0;
+  for (const Json& ev : running) {
+    depth += ev.at("ph").as_string() == "B" ? 1 : 0;
+    depth -= ev.at("ph").as_string() == "E" ? 1 : 0;
+  }
+  EXPECT_EQ(depth, 1);
+  EXPECT_EQ(running.back().at("ph").as_string(), "f");
+  EXPECT_EQ(running.back().at("id").as_string(), "000000000000000b");
+
+  // Global order is by ts, and only the jobs' slices are present.
+  std::uint64_t last = 0;
+  for (const Json& ev : doc.at("traceEvents").items()) {
+    if (ev.at("ph").as_string() == "M") continue;
+    EXPECT_GE(ev.at("ts").as_uint(), last);
+    last = ev.at("ts").as_uint();
+    EXPECT_NE(ev.at("name").as_string(), "phase.replay");
+  }
+  EXPECT_EQ(events_of_tid(doc, 3).size(), 2u);  // queued B + flow s
+}
+
+TEST(JobTimeline, OmitsAJobWhoseSubmissionLeftTheRing) {
+  // The ring dropped job 1's submission: its job span alone renders
+  // nothing, while job 2 renders in full and B/E balance per tid.
+  const std::vector<obs::JournalEvent> events = {
+      journal_event(2.0, 0xa, 'B', "job"),
+      submitted(3.0, 0xb, 2),
+      journal_event(3.5, 0xa, 'E', "job"),
+      journal_event(4.0, 0xb, 'B', "job"),
+      journal_event(9.0, 0xb, 'E', "job"),
+  };
+  const Json doc = job_timeline_json(events);
+  EXPECT_TRUE(events_of_tid(doc, 1).empty());
+  int threads = 0;
+  for (const Json& ev : doc.at("traceEvents").items()) {
+    threads += ev.at("name").as_string() == "thread_name" ? 1 : 0;
+  }
+  EXPECT_EQ(threads, 1);
+  int depth = 0;
+  int flows = 0;
+  for (const Json& ev : events_of_tid(doc, 2)) {
+    const std::string& ph = ev.at("ph").as_string();
+    depth += ph == "B" ? 1 : ph == "E" ? -1 : 0;
+    EXPECT_GE(depth, 0);
+    flows += ph == "s" || ph == "f" ? 1 : 0;
+  }
+  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(flows, 2);
+  EXPECT_TRUE(job_timeline_json({}).at("traceEvents").size() == 1);  // process
 }
 
 // ---------------------------------------------------------------------------
