@@ -1,6 +1,9 @@
 #include "uarch/timing.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -48,26 +51,96 @@ std::size_t pow2_ceil(std::size_t v) {
   return p;
 }
 
+// A link names one dependence of a waiting entry: its RUU slot (high bits)
+// and which of its dependences it is (low 3 bits): register operand i, or
+// kStoreLink for the older overlapping store a load is parked on.
+constexpr std::uint32_t kNoLink = ~0u;
+constexpr int kStoreLink = kMaxExtInputs;
+
+// One dispatched instruction. An unissued entry is in exactly one of three
+// places: linked into the consumer list of each producer (or the one store)
+// that has not issued yet (waiting > 0); in the issue calendar, keyed by
+// `ready`; or in the awake set, when `ready` has come. `ready` is exact:
+// the latest of dispatch + 1, the PFU reconfiguration, and the completion
+// of every register producer and older overlapping store, each folded in
+// when that producer issues; a memory op that found no free MSHR moves it
+// to the earliest in-flight miss completion. An awake entry issues unless
+// an FU or port is taken, so it issues exactly when an every-cycle,
+// oldest-first scan of all unissued entries would issue it.
 struct RuuEntry {
   DecodedStep step;
   std::uint64_t seq = 0;
-  std::uint64_t deps[kMaxExtInputs] = {kNoDep, kNoDep, kNoDep, kNoDep};
-  int num_deps = 0;
-  bool issued = false;
-  bool completed = false;
+  bool issued = false;     // complete_cycle is set
   bool long_miss = false;  // occupies an MSHR while in flight
+  std::uint8_t waiting = 0;  // dependences whose producer has not issued
   std::uint64_t dispatch_cycle = 0;
   std::uint64_t complete_cycle = 0;
   std::uint64_t pfu_ready = 0;  // EXT: earliest issue (reconfiguration)
-  // Earliest cycle a failed issue attempt could possibly succeed (producer
-  // completion latency, PFU reconfiguration, pipeline fill). 0 = unknown,
-  // re-examine every cycle. A scan-skipping memo: an entry with wake > now
-  // would have failed try_issue without consuming any FU, so skipping it
-  // leaves the issue order and FU allocation untouched. Also a
-  // cycle-skipping bound: after a quiet cycle, no pending entry can issue
-  // before the smallest wake (run() jumps there). A failure for lack of an
-  // FU, port or MSHR leaves wake <= now, which forbids the jump.
-  std::uint64_t wake = 0;
+  std::uint64_t ready = 0;      // earliest issue, see above
+  std::uint64_t store_pos = 0;  // load: store-ring position it is parked on
+  std::uint32_t consumers = kNoLink;  // entries waiting on this one
+  // Per dependence, the next link in its producer's consumer list.
+  std::uint32_t next_consumer[kMaxExtInputs + 1] = {};
+  std::uint32_t next_due = kNoLink;  // next entry in its calendar bucket
+};
+
+// A set of slots in [0, n) with an ordered "next member" search: a bitset
+// plus a summary bit per nonempty 64-bit word, so one summary word skips
+// 4096 empty slots.
+class SlotSet {
+ public:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  explicit SlotSet(std::size_t n)
+      : bits_((n + 63) / 64), summary_((bits_.size() + 63) / 64) {}
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  // `i` must not be a member.
+  void insert(std::size_t i) {
+    bits_[i >> 6] |= bit(i);
+    summary_[i >> 12] |= bit(i >> 6);
+    ++size_;
+  }
+  // `i` must be a member.
+  void erase(std::size_t i) {
+    std::uint64_t& word = bits_[i >> 6];
+    word &= ~bit(i);
+    if (word == 0) summary_[i >> 12] &= ~bit(i >> 6);
+    --size_;
+  }
+
+  // The smallest member >= i, or kNone.
+  std::size_t next(std::size_t i) const {
+    std::size_t w = i >> 6;
+    if (w >= bits_.size()) return kNone;
+    const std::uint64_t m = bits_[w] & (~0ull << (i & 63));
+    if (m != 0) return (w << 6) | static_cast<std::size_t>(std::countr_zero(m));
+    ++w;
+    std::size_t s = w >> 6;
+    if (s >= summary_.size()) return kNone;
+    std::uint64_t sm = summary_[s] & (~0ull << (w & 63));
+    while (sm == 0) {
+      if (++s == summary_.size()) return kNone;
+      sm = summary_[s];
+    }
+    w = (s << 6) | static_cast<std::size_t>(std::countr_zero(sm));
+    return (w << 6) | static_cast<std::size_t>(std::countr_zero(bits_[w]));
+  }
+
+  // The first member at or after `i` in circular order, or kNone.
+  std::size_t next_circular(std::size_t i) const {
+    const std::size_t n = next(i);
+    return n != kNone ? n : next(0);
+  }
+
+ private:
+  static std::uint64_t bit(std::size_t i) { return 1ull << (i & 63); }
+
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint64_t> summary_;
+  std::size_t size_ = 0;
 };
 
 struct FetchSlot {
@@ -134,8 +207,12 @@ class RecordingObserver final : public PfuListener {
   // occupied from dispatch to commit, and commit precedes dispatch within
   // a cycle, so per-row events are appended in monotone, balanced order.
   void on_commit(const RuuEntry& e, std::uint64_t now) {
-    if (!out_->want_trace) return;
     const std::size_t slot = e.seq % slots_;
+    if (out_->want_lifecycles) {
+      out_->lifecycles.push_back({e.seq, e.dispatch_cycle, issue_cycle_[slot],
+                                  e.complete_cycle, now});
+    }
+    if (!out_->want_trace) return;
     const int tid = static_cast<int>(slot);
     if (slot >= used_slots_) used_slots_ = slot + 1;
     Json args = Json::object();
@@ -229,11 +306,12 @@ class Pipeline {
         fetch_ring_(
             pow2_ceil(static_cast<std::size_t>(config.fetch_queue_size))),
         fetch_mask_(fetch_ring_.size() - 1),
+        awake_(ruu_.size()),
         store_ring_(ruu_.size()),
         store_mask_(store_ring_.size() - 1),
         obs_(observation) {
     for (int r = 0; r < kNumRegs; ++r) last_writer_[r] = kNoDep;
-    pending_.reserve(static_cast<std::size_t>(config.ruu_size));
+    wheel_.fill(kNoLink);
     if constexpr (Obs::kEnabled) obs_.attach(&pfus_, config_.ruu_size);
     if (config_.pfu.multi_cycle_ext && ext_table != nullptr) {
       // Derive per-configuration latency from mapped logic depth, assuming
@@ -260,8 +338,7 @@ class Pipeline {
     while (!source_.halted() || fq_head_ != fq_tail_ || head_ != tail_) {
       if (now_ > max_cycles_) throw SimError("timing: cycle bound exceeded");
       const int commits = commit();
-      std::uint64_t min_wake = kNever;
-      const bool issued = issue(min_wake);
+      const bool issued = issue();
       const bool resolved = resolve_mispredict();
       const bool dispatched = dispatch();
       const bool fetched = fetch();
@@ -274,7 +351,7 @@ class Pipeline {
       }
       if (commits == 0 && !issued && !resolved && !dispatched && !fetched) {
         const std::uint64_t next =
-            std::max(now_ + 1, next_active_cycle(min_wake));
+            std::max(now_ + 1, next_active_cycle());
         if constexpr (Obs::kEnabled) charge_quiet_stretch(now_ + 1, next);
         now_ = next;
         continue;
@@ -301,7 +378,7 @@ class Pipeline {
     int n = 0;
     while (n < config_.commit_width && head_ != tail_) {
       RuuEntry& e = entry(head_);
-      if (!e.completed || e.complete_cycle > now_) break;
+      if (!e.issued || e.complete_cycle > now_) break;
       if constexpr (Obs::kEnabled) obs_.on_commit(e, now_);
       ++stats_.committed;
       ++head_;
@@ -318,89 +395,122 @@ class Pipeline {
   }
 
   // --- issue ---
-  // When the answer is "not ready" and `earliest` is given, *earliest is a
-  // lower bound on the first cycle the dependencies could be satisfied.
-  // For an in-flight producer that is its fixed completion cycle. For a
-  // producer that has not even issued: the issue scan is oldest-first, so
-  // by the time the consumer is examined the producer has already failed
-  // (or been skipped) this cycle — it issues at now+1 at the earliest and
-  // completes at now+2 at the earliest; the producer's own wake bound
-  // tightens that transitively (it cannot issue before p.wake, so it
-  // cannot complete before p.wake + 1). `earliest` is only meaningful
-  // from that scan context; other callers must pass nullptr.
-  bool deps_ready(const RuuEntry& e, std::uint64_t now,
-                  std::uint64_t* earliest = nullptr) const {
-    bool ready = true;
-    std::uint64_t bound = 0;
-    for (int i = 0; i < e.num_deps; ++i) {
-      const std::uint64_t dep = e.deps[i];
-      if (dep < head_) continue;  // producer already committed
-      const RuuEntry& p = ruu_[static_cast<std::size_t>(dep) & ruu_mask_];
-      if (!p.completed) {
-        if (earliest == nullptr) return false;
-        ready = false;
-        bound = std::max({bound, now + 2, p.wake + 1});
-      } else if (p.complete_cycle > now) {
-        if (earliest == nullptr) return false;
-        ready = false;
-        bound = std::max(bound, p.complete_cycle);
-      }
-    }
-    if (!ready && earliest != nullptr) *earliest = bound;
-    return ready;
+  // Dependence-driven: an entry is examined only once it can issue this
+  // cycle save for FU, port or MSHR availability (see RuuEntry).
+
+  // Links `e` (in `slot`) into the consumer list of unissued producer `p`
+  // as its dependence `dep`.
+  static void link(std::size_t slot, RuuEntry& e, RuuEntry& p, int dep) {
+    e.next_consumer[dep] = p.consumers;
+    p.consumers = static_cast<std::uint32_t>(slot << 3 | dep);
+    ++e.waiting;
   }
 
-  // True when every older store that overlaps `e` has completed; loads may
-  // bypass non-overlapping stores (oracle disambiguation). Only the
-  // in-window stores are consulted — the store ring holds the ascending
-  // dispatched, uncommitted store seqs, so the scan is proportional to the
-  // stores actually in flight instead of the whole window. `earliest`
-  // follows the deps_ready contract: a lower bound on the first cycle the
-  // blocking store could be out of the way, valid only from the issue scan.
-  bool older_stores_done(const RuuEntry& e, std::uint64_t now,
-                         std::uint64_t* earliest = nullptr) {
-    for (std::uint64_t i = st_head_; i != st_tail_; ++i) {
+  // Loads: folds the completion of each older overlapping store from
+  // store-ring position `from` on into e.ready, and parks `e` on the first
+  // such store that has not issued (resuming after it once it issues).
+  // Loads may bypass non-overlapping stores (oracle disambiguation).
+  void await_stores(std::size_t slot, RuuEntry& e, std::uint64_t from) {
+    for (std::uint64_t i = from; i != st_tail_; ++i) {
       const std::uint64_t s =
           store_ring_[static_cast<std::size_t>(i) & store_mask_];
       if (s >= e.seq) break;
-      const RuuEntry& p = entry(s);
+      RuuEntry& p = entry(s);
       const std::uint32_t lo =
           std::max(p.step.info.mem_addr, e.step.info.mem_addr);
       const std::uint32_t hi =
           std::min(p.step.info.mem_addr + p.step.info.mem_size,
                    e.step.info.mem_addr + e.step.info.mem_size);
       if (lo >= hi) continue;  // disjoint
-      if (!p.completed || p.complete_cycle > now) {
-        if (earliest != nullptr) {
-          *earliest = p.completed ? p.complete_cycle
-                                  : std::max(now + 2, p.wake + 1);
-        }
-        return false;
+      if (!p.issued) {
+        link(slot, e, p, kStoreLink);
+        e.store_pos = i;
+        return;
       }
+      e.ready = std::max(e.ready, p.complete_cycle);
     }
-    return true;
   }
 
-  // Long-latency memory operations currently in flight (for the MSHR cap).
-  int misses_in_flight(std::uint64_t now) {
-    int n = 0;
-    for (std::uint64_t s = head_; s != tail_; ++s) {
-      const RuuEntry& e = entry(s);
-      if (e.issued && e.long_miss && e.complete_cycle > now) ++n;
+  // Files an entry with no unissued producer under its ready cycle: into
+  // the awake set when that is now (a zero-latency producer issued this
+  // cycle), else into the timing wheel, or the overflow heap when it lies
+  // a wheel turn or more ahead.
+  void schedule(std::size_t slot, RuuEntry& e) {
+    if (e.ready <= now_) {
+      awake_.insert(slot);
+    } else if (e.ready - now_ < kWheelSize) {
+      const std::size_t b = static_cast<std::size_t>(e.ready) & kWheelMask;
+      if (wheel_[b] == kNoLink) wheel_used_.insert(b);
+      e.next_due = wheel_[b];
+      wheel_[b] = static_cast<std::uint32_t>(slot);
+    } else {
+      overflow_.emplace_back(e.ready, static_cast<std::uint32_t>(slot));
+      std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>());
     }
-    return n;
   }
 
-  // Attempts to issue `e` this cycle; the historical oldest-first scan
-  // body, verbatim. Returns true when issued (FU counters consumed).
-  bool try_issue(RuuEntry& e, int& alus, int& mults, int& ports,
-                 int& mshrs_free) {
-    if (e.dispatch_cycle >= now_) {
-      e.wake = e.dispatch_cycle + 1;
-      return false;
+  // Moves the entries due this cycle from the calendar to the awake set.
+  // Every cycle a jump skips is before the calendar minimum, so the bucket
+  // of `now_` holds exactly the entries due at `now_`.
+  void wake_due() {
+    const std::size_t b = static_cast<std::size_t>(now_) & kWheelMask;
+    if (wheel_[b] != kNoLink) {
+      for (std::uint32_t s = wheel_[b]; s != kNoLink; s = ruu_[s].next_due) {
+        awake_.insert(s);
+      }
+      wheel_[b] = kNoLink;
+      wheel_used_.erase(b);
     }
-    if (!deps_ready(e, now_, &e.wake)) return false;
+    while (!overflow_.empty() && overflow_.front().first <= now_) {
+      awake_.insert(overflow_.front().second);
+      std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>());
+      overflow_.pop_back();
+    }
+  }
 
+  // The earliest cycle an entry in the calendar is due, or kNever.
+  std::uint64_t next_due() const {
+    std::uint64_t next = overflow_.empty() ? kNever : overflow_.front().first;
+    const std::size_t b = wheel_used_.next_circular(
+        static_cast<std::size_t>(now_ + 1) & kWheelMask);
+    if (b != SlotSet::kNone) {
+      next = std::min(next, now_ + ((b - now_) & kWheelMask));
+    }
+    return next;
+  }
+
+  // Producer `p` just issued: each consumer folds in p's completion and is
+  // scheduled once nothing it waits on is unissued; a load parked on `p`
+  // as a store resumes its store walk after it.
+  void wake_consumers(RuuEntry& p) {
+    for (std::uint32_t l = p.consumers; l != kNoLink;) {
+      const std::size_t slot = l >> 3;
+      const int dep = static_cast<int>(l & 7);
+      RuuEntry& c = ruu_[slot];
+      l = c.next_consumer[dep];
+      c.ready = std::max(c.ready, p.complete_cycle);
+      --c.waiting;
+      if (dep == kStoreLink) await_stores(slot, c, c.store_pos + 1);
+      if (c.waiting == 0) schedule(slot, c);
+    }
+    p.consumers = kNoLink;
+  }
+
+  // Long-latency memory operations in flight at `now` (for the MSHR cap):
+  // the MSHR heap holds each capped long miss's completion, and the issue
+  // stage drops the completed ones, so this counts at most the cap.
+  int misses_in_flight(std::uint64_t now) const {
+    return static_cast<int>(std::count_if(
+        miss_done_.begin(), miss_done_.end(),
+        [now](std::uint64_t done) { return done > now; }));
+  }
+
+  // Attempts to issue awake entry `e` this cycle. Returns true when issued
+  // (FU counters consumed). An entry that loses an FU or port stays awake;
+  // a memory op that finds no free MSHR cannot issue before the earliest
+  // in-flight miss completes, so it sleeps until then.
+  bool try_issue(std::size_t slot, RuuEntry& e, int& alus, int& mults,
+                 int& ports, int& mshrs_free) {
     int latency = 1;
     switch (e.step.fu) {
       case FuClass::kIntAlu:
@@ -413,33 +523,29 @@ class Pipeline {
         ++mults;
         latency = base_latency(Opcode::kMul);
         break;
-      case FuClass::kMemRead: {
-        if (ports == config_.mem_ports) return false;
-        if (mshrs_free <= 0) return false;  // conservative: no free slot
-        if (!older_stores_done(e, now_, &e.wake)) return false;
-        ++ports;
-        latency = dmem_.access(e.step.info.mem_addr, /*is_write=*/false);
-        if (latency > config_.dl1.hit_latency) {
-          e.long_miss = true;
-          --mshrs_free;
-        }
-        break;
-      }
+      case FuClass::kMemRead:
       case FuClass::kMemWrite:
         if (ports == config_.mem_ports) return false;
-        if (mshrs_free <= 0) return false;
+        if (mshrs_free <= 0) {  // conservative: no free slot
+          awake_.erase(slot);
+          e.ready = miss_done_.front();
+          schedule(slot, e);
+          return false;
+        }
         ++ports;
-        latency = dmem_.access(e.step.info.mem_addr, /*is_write=*/true);
+        latency = dmem_.access(e.step.info.mem_addr,
+                               /*is_write=*/e.step.fu == FuClass::kMemWrite);
         if (latency > config_.dl1.hit_latency) {
           e.long_miss = true;
           --mshrs_free;
+          if (config_.max_outstanding_misses != 0) {
+            miss_done_.push_back(now_ + static_cast<std::uint64_t>(latency));
+            std::push_heap(miss_done_.begin(), miss_done_.end(),
+                           std::greater<>());
+          }
         }
         break;
       case FuClass::kPfu:
-        if (e.pfu_ready > now_) {
-          e.wake = e.pfu_ready;
-          return false;
-        }
         if (!ext_latency_.empty()) {
           latency = ext_latency_[e.step.info.ins.conf];
         }
@@ -447,46 +553,45 @@ class Pipeline {
       case FuClass::kNone:
         break;
     }
+    awake_.erase(slot);
     e.issued = true;
-    e.completed = true;
     e.complete_cycle = now_ + static_cast<std::uint64_t>(latency);
     if constexpr (Obs::kEnabled) obs_.on_issue(e.seq, now_);
+    wake_consumers(e);
     return true;
   }
 
-  // Returns true when anything issued. min_wake is lowered to the smallest
-  // wake among the entries left pending; it bounds the next issue only
-  // when nothing issued (the whole list was then scanned).
-  bool issue(std::uint64_t& min_wake) {
-    if (pending_.empty()) return false;
+  // Returns true when anything issued. One oldest-first pass over the
+  // awake set, from the RUU head around the ring: the same visit order,
+  // and therefore FU allocation, as a scan of every unissued entry. A
+  // consumer woken by a zero-latency producer is younger, so later in
+  // the same pass. The pass ends once every awake entry was visited.
+  bool issue() {
+    wake_due();
+    int mshrs_free = 1 << 30;
+    if (config_.max_outstanding_misses != 0) {
+      while (!miss_done_.empty() && miss_done_.front() <= now_) {
+        std::pop_heap(miss_done_.begin(), miss_done_.end(), std::greater<>());
+        miss_done_.pop_back();
+      }
+      mshrs_free = config_.max_outstanding_misses -
+                   static_cast<int>(miss_done_.size());
+    }
     int issued = 0;
     int alus = 0;
     int mults = 0;
     int ports = 0;
-    int mshrs_free = config_.max_outstanding_misses == 0
-                         ? 1 << 30
-                         : config_.max_outstanding_misses -
-                               misses_in_flight(now_);
-    // One oldest-first pass over the not-yet-issued entries. pending_ is
-    // kept ascending by stable compaction, so the visit order — and
-    // therefore FU allocation — is identical to the historical full-window
-    // scan that skipped issued entries. Entries dormant until a known
-    // future cycle (wake) are skipped without re-deriving the failure;
-    // they would have issued nothing and consumed no FU either way.
-    std::size_t keep = 0;
-    std::size_t i = 0;
-    for (; i < pending_.size() && issued < config_.issue_width; ++i) {
-      const std::uint64_t s = pending_[i];
-      RuuEntry& e = entry(s);
-      if (e.wake <= now_ && try_issue(e, alus, mults, ports, mshrs_free)) {
+    std::size_t stayed = 0;  // visited entries left awake
+    std::size_t slot = static_cast<std::size_t>(head_) & ruu_mask_;
+    while (issued < config_.issue_width && stayed < awake_.size()) {
+      slot = awake_.next_circular(slot);
+      if (try_issue(slot, ruu_[slot], alus, mults, ports, mshrs_free)) {
         ++issued;
-      } else {
-        min_wake = std::min(min_wake, e.wake);
-        pending_[keep++] = s;
+      } else if (ruu_[slot].ready <= now_) {
+        ++stayed;
       }
+      slot = (slot + 1) & ruu_mask_;
     }
-    for (; i < pending_.size(); ++i) pending_[keep++] = pending_[i];
-    pending_.resize(keep);
     return issued > 0;
   }
 
@@ -500,15 +605,29 @@ class Pipeline {
           fetch_ring_[static_cast<std::size_t>(fq_head_) & fetch_mask_];
       if (slot.ready_cycle > now_) break;
 
-      RuuEntry& e = entry(tail_);
-      e = RuuEntry{};
+      const std::size_t ruu_slot = static_cast<std::size_t>(tail_) & ruu_mask_;
+      RuuEntry& e = ruu_[ruu_slot];
+      // Field by field: only what a new occupant reads before writing it
+      // (assigning a whole RuuEntry{} cost a sixth of the replay time).
       e.step = slot.step;
       e.seq = tail_;
+      e.issued = false;
+      e.long_miss = false;
+      e.waiting = 0;
       e.dispatch_cycle = now_;
+      e.pfu_ready = 0;
+      e.ready = now_ + 1;
+      e.consumers = kNoLink;
 
       for (int i = 0; i < e.step.srcs.count; ++i) {
         const std::uint64_t w = last_writer_[e.step.srcs.reg[i]];
-        if (w != kNoDep && w >= head_) e.deps[e.num_deps++] = w;
+        if (w == kNoDep || w < head_) continue;  // committed
+        RuuEntry& p = entry(w);
+        if (p.issued) {
+          e.ready = std::max(e.ready, p.complete_cycle);
+        } else {
+          link(ruu_slot, e, p, i);
+        }
       }
       if (e.step.dst >= 0) {
         last_writer_[e.step.dst] = tail_;
@@ -518,13 +637,15 @@ class Pipeline {
       }
       if (e.step.is_ext) {
         e.pfu_ready = pfus_.request(e.step.info.ins.conf, now_);
+        e.ready = std::max(e.ready, e.pfu_ready);
       }
+      if (e.step.fu == FuClass::kMemRead) await_stores(ruu_slot, e, st_head_);
       if (e.step.is_store) {
         store_ring_[static_cast<std::size_t>(st_tail_++) & store_mask_] =
             tail_;
       }
+      if (e.waiting == 0) schedule(ruu_slot, e);
       if (slot.mispredicted) pending_branch_seq_ = tail_;
-      pending_.push_back(tail_);
       ++tail_;
       ++fq_head_;
     }
@@ -538,7 +659,7 @@ class Pipeline {
     // Fetch is frozen, so the RUU tail cannot advance and the entry is
     // never recycled before this check sees it complete.
     const RuuEntry& e = entry(pending_branch_seq_);
-    if (!e.completed || e.complete_cycle > now_) return false;
+    if (!e.issued || e.complete_cycle > now_) return false;
     fetch_stall_until_ =
         std::max(fetch_stall_until_,
                  e.complete_cycle +
@@ -604,9 +725,10 @@ class Pipeline {
   // which some stage can act; every cycle before it is quiet too, because
   // the machine it sees is unchanged. The events that bound it, one per
   // way a stage can next act:
-  //   issue    — the smallest wake among pending entries (min_wake);
+  //   issue    — the calendar minimum (an awake entry left over, which a
+  //              quiet cycle cannot have, would mean now);
   //   commit   — the completion of an issued head (an unissued head must
-  //              issue first, which min_wake bounds);
+  //              issue first, which the calendar bounds);
   //   redirect — the completion of an issued mispredicted branch;
   //   dispatch — the fetch-queue head's ready cycle, when the RUU has room
   //              (a full RUU must commit first);
@@ -614,15 +736,15 @@ class Pipeline {
   //              branch, nor out of trace, nor facing a full queue.
   // Clamped to max_cycles_ + 1, so the cycle bound fires where stepping
   // would fire it (also when nothing bounds the jump: a deadlock).
-  std::uint64_t next_active_cycle(std::uint64_t min_wake) {
-    std::uint64_t next = min_wake;
+  std::uint64_t next_active_cycle() {
+    std::uint64_t next = awake_.empty() ? next_due() : now_;
     if (head_ != tail_) {
       const RuuEntry& h = entry(head_);
-      if (h.completed) next = std::min(next, h.complete_cycle);
+      if (h.issued) next = std::min(next, h.complete_cycle);
     }
     if (blocked_on_branch_ && pending_branch_seq_ != kNoDep) {
       const RuuEntry& b = entry(pending_branch_seq_);
-      if (b.completed) next = std::min(next, b.complete_cycle);
+      if (b.issued) next = std::min(next, b.complete_cycle);
     }
     if (fq_head_ != fq_tail_ && !ruu_full()) {
       next = std::min(
@@ -652,12 +774,10 @@ class Pipeline {
         // Entries dispatched at `now` can issue at `now + 1` earliest: a
         // pure pipeline fill bubble.
         if (e.dispatch_cycle >= now) return StallCause::kFrontend;
-        if (!deps_ready(e, now)) return StallCause::kOperandWait;
+        // Its producers and older stores have all committed, so the head
+        // never waits on operands.
         if (e.step.fu == FuClass::kPfu && e.pfu_ready > now) {
           return StallCause::kExtReconfig;
-        }
-        if (e.step.fu == FuClass::kMemRead && !older_stores_done(e, now)) {
-          return StallCause::kOperandWait;
         }
         if ((e.step.fu == FuClass::kMemRead ||
              e.step.fu == FuClass::kMemWrite) &&
@@ -698,8 +818,9 @@ class Pipeline {
   // gives `from`, but for one test. The jump target is bounded by each
   // event that can flip the others: the head's completion or PFU
   // readiness, and the end of a fetch stall. An unissued head's operands
-  // and older stores are all committed, and a head blocked on an FU, port
-  // or MSHR forbids the jump. The exception is an empty window whose
+  // and older stores are all committed, and a head blocked on MSHRs
+  // sleeps until the earliest in-flight miss completes, before which the
+  // MSHR count cannot fall. The exception is an empty window whose
   // fetch-queue head waits on its line: it turns from fetch_mem to
   // frontend at ready_cycle - 1 ("ready next cycle"), one cycle before
   // the ready_cycle that bounds the jump.
@@ -746,8 +867,19 @@ class Pipeline {
   std::uint64_t fq_tail_ = 0;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;
-  // Dispatched-but-unissued seqs, ascending (the issue scan's worklist).
-  std::vector<std::uint64_t> pending_;
+  // The issue calendar and awake set (see RuuEntry). Awake entries are
+  // RUU slots; the calendar is a timing wheel of per-cycle buckets, chained
+  // through RuuEntry::next_due, plus a min-heap of (ready, slot) for the
+  // entries due a wheel turn or more ahead.
+  static constexpr std::size_t kWheelSize = 256;
+  static constexpr std::size_t kWheelMask = kWheelSize - 1;
+  SlotSet awake_;
+  std::array<std::uint32_t, kWheelSize> wheel_;
+  SlotSet wheel_used_{kWheelSize};
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> overflow_;
+  // Completion cycles of the long misses holding MSHRs, a min-heap (only
+  // kept under an MSHR cap).
+  std::vector<std::uint64_t> miss_done_;
   // Dispatched, uncommitted store seqs, ascending (memory ordering scans),
   // as a power-of-two ring: at most one store per window slot is live.
   std::vector<std::uint64_t> store_ring_;

@@ -123,17 +123,31 @@ struct PfuUnitCounters {
   std::uint64_t busy_cycles = 0;   // cycles spent loading configurations
 };
 
+// One committed instruction's passage through the window: the cycles at
+// which it dispatched, issued, completed (its result became available)
+// and committed. `seq` is its position on the committed path.
+struct InstLifecycle {
+  std::uint64_t seq = 0;
+  std::uint64_t dispatch = 0;
+  std::uint64_t issue = 0;
+  std::uint64_t complete = 0;
+  std::uint64_t commit = 0;
+};
+
 // Observation sink for one timing run. Set `want_trace` before the run to
-// additionally record per-instruction lifecycle slices into `trace`
-// (stall attribution and the PFU timeline are always filled). Observation
-// never changes SimStats — the observed and unobserved paths are held to
+// additionally record per-instruction lifecycle slices into `trace`, and
+// `want_lifecycles` to record them compactly into `lifecycles` (stall
+// attribution and the PFU timeline are always filled). Observation never
+// changes SimStats — the observed and unobserved paths are held to
 // byte-identical statistics by tests.
 struct SimObservation {
   bool want_trace = false;              // in: record event slices too
+  bool want_lifecycles = false;         // in: fill `lifecycles` too
   StallBreakdown stalls;                // out
   std::vector<PfuReconfigSpan> pfu_spans;  // out: reconfiguration timeline
   std::vector<PfuUnitCounters> pfu_units;  // out: per-unit occupancy
   obs::TraceEventLog trace;             // out: filled when want_trace
+  std::vector<InstLifecycle> lifecycles;  // out: in commit order
 };
 
 // --- the SimRequest API ---

@@ -351,6 +351,50 @@ TEST(Service, ObservedRunOnAStarvedMachineSkipsQuietCycles) {
   EXPECT_EQ(stalls.cause_cycles(), stalls.stall_cycles());
 }
 
+TEST(Service, LargeWindowMachinesRunInTimeProportionalToTheirWork) {
+  // Two bodies that pass validate() and once held a worker for tens of
+  // seconds, because issue scanned every waiting entry on every active
+  // cycle: a 2^20-entry window over a 65536-cycle memory (93 s), and a
+  // 4096-entry, 64-wide window behind a single MSHR (12 s). Issue now
+  // examines only entries whose operands are ready, so both are quick;
+  // the cycle counts are the scanning scheduler's.
+  struct Body {
+    const char* name;
+    const char* machine;
+    std::uint64_t cycles;
+  };
+  const Body bodies[] = {
+      {"2^20-entry window",
+       R"({"ruu_size": 1048576, "fetch_queue_size": 1048576,
+           "memory_latency": 65536,
+           "dl1": {"size_bytes": 64, "line_bytes": 64, "assoc": 1},
+           "l2": {"size_bytes": 64, "line_bytes": 64, "assoc": 1}})",
+       647420},
+      {"one MSHR",
+       R"({"ruu_size": 4096, "fetch_queue_size": 4096, "fetch_width": 64,
+           "decode_width": 64, "issue_width": 64, "commit_width": 64,
+           "int_alus": 64, "int_mults": 64, "mem_ports": 64,
+           "max_outstanding_misses": 1, "memory_latency": 65536})",
+       1426426},
+  };
+  SimService service(ServiceOptions{});
+  for (const Body& body : bodies) {
+    const Json request = Json::parse(
+        std::string(R"({"runs": [{"workload": "gsm_dec", "machine": )") +
+        body.machine + "}]}");
+    const auto start = std::chrono::steady_clock::now();
+    const Json doc = service.run_local(request);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(20))
+        << body.name;
+    const Json& run = doc.at("results").at(0);
+    ASSERT_EQ(run.at("status").as_string(), "ok") << body.name;
+    EXPECT_EQ(run.at("outcome").at("stats").at("cycles").as_uint(),
+              body.cycles)
+        << body.name;
+  }
+}
+
 TEST(Service, RoutesAndMethodsAreEnforced) {
   SimService service(ServiceOptions{});
   EXPECT_EQ(service.handle_http(get("/healthz")).status, 200);
